@@ -53,6 +53,7 @@ _KERNEL_NAMES = (
     "cartan_mrow",
     "reflect_exponent_matrix",
     "reflect_diagram",
+    "scan_bad_reflection",
     "combine_exact",
     "combine_mod",
 )

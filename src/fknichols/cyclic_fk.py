@@ -15,6 +15,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import gcd
 
 from fknichols import backend, diagonal
@@ -213,17 +214,27 @@ def _check_single_args(args) -> SweepEntry:
 
 
 def _load_checkpoint(path) -> dict[int, SweepEntry]:
+    """Entries of a sweep checkpoint, one JSON line per n.
+
+    Every entry is written as one line ending in a newline, so text after
+    the last newline is a write cut off mid-line: it is dropped from the
+    file, and its n is recomputed.  Any other corrupt line raises.
+    """
     entries: dict[int, SweepEntry] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                d = json.loads(line)
-                entries[d["n"]] = _entry_from_json(d)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
-        pass
+        return entries
+    complete = data.rfind(b"\n") + 1
+    for line in data[:complete].decode("utf-8").splitlines():
+        line = line.strip()
+        if line:
+            d = json.loads(line)
+            entries[d["n"]] = _entry_from_json(d)
+    if complete < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(complete)
     return entries
 
 
@@ -388,16 +399,59 @@ class SubsystemRecord:
         return len(self.representative)
 
 
-def _classify_subset(n, subset, max_roots, max_objects):
-    """(finite, roots or None, objects or None) for a connected subset."""
-    braiding = cyclic_braiding(n, subset)
-    exploration = diagonal.explore_groupoid(braiding, max_objects)
+def _classify_subset(exploration, max_roots):
+    """(finite, positive roots or None) of an explored subset; the root
+    closure reuses the exploration and runs only when the groupoid exists."""
     if exploration.status != EXISTS:
-        return False, None, tuple(exploration.objects)
-    roots = diagonal.enumerate_positive_roots(braiding, max_roots, max_objects)
+        return False, None
+    roots = diagonal.positive_roots(exploration, max_roots)
     if roots is BOUND_EXCEEDED:
-        return False, None, tuple(exploration.objects)
-    return True, roots, tuple(exploration.objects)
+        return False, None
+    return True, roots
+
+
+def _linked_subsets(n, objects):
+    """Subsets whose canonical object is among the groupoid objects.
+
+    The canonical object of a subset I is (I, pair sums of I mod n), so an
+    object is one exactly when its vertex tuple is increasing and nonzero,
+    its edges are the pair sums of its vertices and, at rank 2, its edge is
+    nonzero (the pair is connected).
+    """
+    out = set()
+    for obj in objects:
+        v = obj.vertices
+        r = len(v)
+        if v[0] == 0 or any(v[i] >= v[i + 1] for i in range(r - 1)):
+            continue
+        if obj.edges != tuple(
+            (v[i] + v[j]) % n for i in range(r) for j in range(i + 1, r)
+        ):
+            continue
+        if r > 2 or obj.edges[0]:
+            out.add(v)
+    return out
+
+
+def _candidate_subsets(n, rank, pair_ok):
+    """Subsets of 1..n-1 of the given rank, in lexicographic order, all of
+    whose pairs satisfy pair_ok; rank 2 keeps the connected pairs only."""
+    if rank == 2:
+        for a in range(1, n):
+            for b in range(a + 1, n):
+                if (a + b) % n:
+                    yield (a, b)
+        return
+
+    def extend(prefix, allowed, size):
+        if size == 0:
+            yield prefix
+            return
+        for pos, a in enumerate(allowed):
+            rest = [b for b in allowed[pos + 1 :] if pair_ok(a, b)]
+            yield from extend(prefix + (a,), rest, size - 1)
+
+    yield from extend((), list(range(1, n)), rank)
 
 
 def enumerate_finite_subsystems(
@@ -414,47 +468,41 @@ def enumerate_finite_subsystems(
     root (I -> k*I for a unit k mod n, covering the mirror k = -1) or by a
     Weyl-groupoid reflection (one subset's diagram appears among the
     groupoid objects of the other).  Rank-1 subsets are omitted: every
-    vertex trivially gives one.
+    vertex trivially gives one.  A class is finite when the groupoid of its
+    smallest member exists and its root closure stays within max_roots.
+
+    The survey classifies classes rather than subsets, using five facts:
+
+    1. Connectivity is arithmetic.  The edge exponent between labels a and b
+       is a + b mod n, so a pair is disconnected exactly when a + b = 0, and
+       every subset of rank >= 3 is connected: a split whose cross pairs
+       all sum to 0 would force two labels to be equal.
+    2. Galois unions are done per orbit: each unit orbit {sorted(k*I)} is
+       computed once and its members are united in one step.
+    3. Weyl linkage needs no lookup table: a groupoid object is the
+       canonical form of a subset exactly when its vertex tuple is a
+       candidate subset of the same rank and its edges are that subset's
+       pair sums (``_linked_subsets``).  The subsets linked through an
+       existing groupoid have the same objects, so one of them is explored.
+    4. Finiteness is constant on a class: a Galois image has an isomorphic
+       groupoid, and Weyl-linked subsets lie in the same groupoid
+       component.  Ranks are processed in ascending order and subsets in
+       lexicographic order, so the first member of a class that is explored
+       is its minimum, whose record the report shows.  The root closure runs
+       on that member only, reusing its exploration.  Without
+       ``include_infinite`` no other member of an infinite class is
+       explored.
+    5. A subset of rank >= 3 that contains an infinite connected pair never
+       joins a finite class.  Such subsets are built only under
+       ``include_infinite``, and never explored.
     """
     if n < 2:
         raise diagonal.DomainError("n must be at least 2")
     if max_rank < 1:
         raise diagonal.DomainError("max_rank must be at least 1")
 
-    from itertools import combinations
-
     unit_list = units(n)
-
-    def connected(subset) -> bool:
-        return diagonal.dynkin_diagram(cyclic_braiding(n, subset)).is_connected
-
-    candidates: list[tuple[int, ...]] = []
-    for size in range(2, max_rank + 1):
-        for subset in combinations(range(1, n), size):
-            if connected(subset):
-                candidates.append(subset)
-
-    # classify; rank >= 3 subsets are skipped cheaply when some rank-2
-    # sub-pair is already infinite (a sub-braiding of a finite system is
-    # finite, so such subsets cannot be finite)
-    info: dict[tuple[int, ...], tuple[bool, object, tuple | None]] = {}
-
-    def pair_finite(a: int, b: int) -> bool:
-        key = (min(a, b), max(a, b))
-        if (a + b) % n == 0:
-            return True  # no edge: two A1 components, always finite
-        return info[key][0]
-
-    for subset in candidates:
-        if len(subset) > 2 and not all(
-            pair_finite(a, b) for a, b in combinations(subset, 2)
-        ):
-            info[subset] = (False, None, None)
-        else:
-            info[subset] = _classify_subset(n, subset, max_roots, max_objects)
-
-    # equivalence classes: Galois relabelling + Weyl reflection linkage
-    parent: dict[tuple[int, ...], tuple[int, ...]] = {s: s for s in info}
+    parent: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def find(s):
         while parent[s] != s:
@@ -467,29 +515,70 @@ def enumerate_finite_subsystems(
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    by_object: dict[tuple, tuple[int, ...]] = {}
-    for subset in info:
-        canon = diagonal.canonical_object(cyclic_braiding(n, subset))
-        by_object.setdefault((canon.vertices, canon.edges), subset)
-    for subset, (_, _, objects) in info.items():
-        for k in unit_list:
-            image = tuple(sorted(k * a % n for a in subset))
-            if image in parent:
-                union(subset, image)
-        if objects:
-            for obj in objects:
-                other = by_object.get((obj.vertices, obj.edges))
-                if other is not None:
-                    union(subset, other)
+    orbits: dict[tuple[int, ...], frozenset] = {}
+
+    def group(subset) -> frozenset:
+        """Unite the Galois orbit of subset, once; returns the orbit."""
+        galois = orbits.get(subset)
+        if galois is None:
+            galois = frozenset(
+                tuple(sorted(k * a % n for a in subset)) for k in unit_list
+            )
+            root = min(galois)
+            for image in galois:
+                orbits[image] = galois
+                parent[image] = root
+        return galois
+
+    # (finite, positive roots) of each class minimum reached so far and,
+    # under include_infinite, of each skipped subset
+    info: dict[tuple[int, ...], tuple[bool, frozenset | None]] = {}
+    settled: set[tuple[int, ...]] = set()  # subsets that need no exploration
+    finite_pairs: set[tuple[int, int]] = set()
+
+    def class_finite(subset) -> bool:
+        return info.get(find(subset), (False, None))[0]
+
+    def pair_ok(a: int, b: int) -> bool:
+        return (a + b) % n == 0 or (a, b) in finite_pairs
+
+    build = (lambda a, b: True) if include_infinite else pair_ok
+    for rank in range(2, max_rank + 1):
+        for subset in _candidate_subsets(n, rank, build):
+            galois = group(subset)
+            if subset in settled:
+                continue
+            if rank > 2 and not all(
+                pair_ok(a, b) for a, b in combinations(subset, 2)
+            ):
+                info[subset] = (False, None)
+                continue
+            exploration = diagonal.explore_groupoid(
+                cyclic_braiding(n, subset), max_objects
+            )
+            linked = _linked_subsets(n, exploration.objects)
+            for other in linked:
+                group(other)
+                union(subset, other)
+            if exploration.status == EXISTS:
+                settled |= linked
+            if find(subset) == subset:
+                info[subset] = _classify_subset(exploration, max_roots)
+            if not include_infinite and not class_finite(subset):
+                settled |= galois
+                for other in linked:
+                    settled |= orbits[other]
+        if rank == 2:
+            finite_pairs = {pair for pair in parent if class_finite(pair)}
 
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for subset in info:
+    for subset in parent:
         classes.setdefault(find(subset), []).append(subset)
 
     records = []
     for rep in sorted(classes):
         members = tuple(sorted(classes[rep]))
-        finite, roots, _ = info[rep]
+        finite, roots = info.get(rep, (False, None))
         if not finite and not include_infinite:
             continue
         braiding = cyclic_braiding(n, rep)

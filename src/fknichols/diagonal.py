@@ -365,13 +365,32 @@ def _state_failure_vertex(diag, edge, n) -> int | None:
 
 @dataclass(frozen=True)
 class ExplorationResult:
-    """Outcome of a groupoid BFS over canonical diagram forms."""
+    """Outcome of a groupoid BFS over canonical diagram forms.
+
+    ``transitions[s][i]`` is the index in ``objects`` of the object that the
+    reflection at vertex i + 1 sends object s to.  It is recorded for the
+    expanded objects, a prefix of ``objects``: all of them when the status
+    is EXISTS.
+    """
 
     status: str
     objects: tuple[GroupoidObject, ...]
     morphism_count: int
     witness: tuple[int, ...] | None = None
     failing_vertex: int | None = None
+    transitions: tuple[tuple[int, ...], ...] = ()
+
+
+def _unpack_state(state: tuple, r: int) -> tuple[list[int], list[list[int]]]:
+    """Inverse of _pack_state: (diag, symmetric edge matrix)."""
+    diag = list(state[0])
+    edge = [[0] * r for _ in range(r)]
+    pos = 0
+    for i in range(r):
+        for j in range(i + 1, r):
+            edge[i][j] = edge[j][i] = state[1][pos]
+            pos += 1
+    return diag, edge
 
 
 def explore_groupoid(
@@ -390,38 +409,29 @@ def explore_groupoid(
         raise DomainError("max_objects must be at least 1")
     n = braiding.order
     r = braiding.rank
-    start_diag = braiding._diag()
-    start_edge = braiding._edge_matrix()
-    start = _pack_state(start_diag, start_edge)
+    start = _pack_state(braiding._diag(), braiding._edge_matrix())
 
-    def unpack(state):
-        diag = list(state[0])
-        edge = [[0] * r for _ in range(r)]
-        pos = 0
-        for i in range(r):
-            for j in range(i + 1, r):
-                edge[i][j] = edge[j][i] = state[1][pos]
-                pos += 1
-        return diag, edge
-
-    parents: dict[tuple, tuple[tuple, int] | None] = {start: None}
+    # objects in discovery order; the BFS queue is this list's unexpanded tail
     order_seen: list[tuple] = [start]
-    queue = deque([start])
+    index: dict[tuple, int] = {start: 0}
+    parent_of: list[tuple[int, int] | None] = [None]  # (object index, vertex)
+    transitions: list[tuple[int, ...]] = []
 
-    def word_to(state) -> tuple[int, ...]:
+    def word_to(s: int) -> tuple[int, ...]:
         word = []
-        while parents[state] is not None:
-            state, v = parents[state]
+        while parent_of[s] is not None:
+            s, v = parent_of[s]
             word.append(v)
         return tuple(reversed(word))
 
     def make_result(status, witness=None, failing=None):
-        objects = tuple(
-            GroupoidObject(n, st[0], st[1]) for st in order_seen
+        objects = tuple(GroupoidObject(n, st[0], st[1]) for st in order_seen)
+        morphisms = sum(
+            target != s for s, row in enumerate(transitions) for target in row
         )
-        morphisms = 0
-        for st in order_seen:
-            diag, edge = unpack(st)
+        # objects discovered but never expanded (the run stopped early)
+        for st in order_seen[len(transitions):]:
+            diag, edge = _unpack_state(st, r)
             if _state_failure_vertex(diag, edge, n) is not None:
                 continue
             for i in range(r):
@@ -429,34 +439,41 @@ def explore_groupoid(
                 nd, ne = backend.reflect_diagram(diag, edge, n, i, m)
                 if _pack_state(nd, ne) != st:
                     morphisms += 1
-        return ExplorationResult(status, objects, morphisms, witness, failing)
+        return ExplorationResult(
+            status, objects, morphisms, witness, failing, tuple(transitions)
+        )
 
-    while queue:
-        state = queue.popleft()
-        diag, edge = unpack(state)
+    while len(transitions) < len(order_seen):
+        s = len(transitions)
+        diag, edge = _unpack_state(order_seen[s], r)
         bad = _state_failure_vertex(diag, edge, n)
         if bad is not None:
-            return make_result(FAILS_AT, word_to(state), bad)
+            return make_result(FAILS_AT, word_to(s), bad)
+        row = []
         for i in range(r):
             m = backend.cartan_mrow(diag, edge, n, i)
             nd, ne = backend.reflect_diagram(diag, edge, n, i, m)
             new_state = _pack_state(nd, ne)
-            if new_state not in parents:
-                if len(parents) >= max_objects:
+            target = index.get(new_state)
+            if target is None:
+                if len(order_seen) >= max_objects:
                     return make_result(BOUND_EXCEEDED_STATUS)
-                parents[new_state] = (state, i + 1)
+                target = index[new_state] = len(order_seen)
                 order_seen.append(new_state)
-                queue.append(new_state)
+                parent_of.append((s, i + 1))
+            row.append(target)
+        transitions.append(tuple(row))
     return make_result(EXISTS)
 
 
-def _root_closure(braiding: DiagonalBraiding, max_roots: int, max_objects: int):
-    """Fixpoint propagation of simple roots across the groupoid.
+def _root_closure(exploration: ExplorationResult, max_roots: int):
+    """Fixpoint propagation of simple roots across an explored groupoid.
 
-    Returns (roots at start object, True) or (None, False) on bound excess.
-    Raises RootSystemUndefinedError if exploration fails.
+    Reuses the exploration's transition table; only the Cartan m-rows are
+    recomputed.  Returns (roots at the start object, True), or (None, False)
+    when the exploration or the root count exceeds its bound.  Raises
+    RootSystemUndefinedError if the exploration failed.
     """
-    exploration = explore_groupoid(braiding, max_objects)
     if exploration.status == FAILS_AT:
         raise RootSystemUndefinedError(
             f"groupoid undefined: witness {list(exploration.witness)} reaches "
@@ -464,40 +481,25 @@ def _root_closure(braiding: DiagonalBraiding, max_roots: int, max_objects: int):
         )
     if exploration.status == BOUND_EXCEEDED_STATUS:
         return None, False
-    n = braiding.order
-    r = braiding.rank
-    states = [(obj.vertices, obj.edges) for obj in exploration.objects]
+    objects = exploration.objects
+    n = objects[0].order
+    r = objects[0].rank
 
-    def unpack(state):
-        diag = list(state[0])
-        edge = [[0] * r for _ in range(r)]
-        pos = 0
-        for i in range(r):
-            for j in range(i + 1, r):
-                edge[i][j] = edge[j][i] = state[1][pos]
-                pos += 1
-        return diag, edge
-
-    # reflection data per state: list of (mrow, target_state_index)
-    index = {st: k for k, st in enumerate(states)}
-    moves = []
-    for st in states:
-        diag, edge = unpack(st)
-        row = []
-        for i in range(r):
-            m = backend.cartan_mrow(diag, edge, n, i)
-            nd, ne = backend.reflect_diagram(diag, edge, n, i, m)
-            row.append((m, index[_pack_state(nd, ne)]))
-        moves.append(row)
+    mrows = []
+    for obj in objects:
+        diag, edge = _unpack_state((obj.vertices, obj.edges), r)
+        mrows.append([backend.cartan_mrow(diag, edge, n, i) for i in range(r)])
+    moves = exploration.transitions
 
     simples = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
-    roots: list[set[tuple[int, ...]]] = [set(simples) for _ in states]
-    work = deque((s, alpha) for s in range(len(states)) for alpha in simples)
-    total = len(states) * r
+    roots: list[set[tuple[int, ...]]] = [set(simples) for _ in objects]
+    work = deque((s, alpha) for s in range(len(objects)) for alpha in simples)
+    total = len(objects) * r
     while work:
         s, alpha = work.popleft()
         for i in range(r):
-            m, target = moves[s][i]
+            m = mrows[s][i]
+            target = moves[s][i]
             new_i = alpha[i] + sum(m[j] * alpha[j] for j in range(r))
             image = alpha[:i] + (new_i,) + alpha[i + 1 :]
             if image not in roots[target]:
@@ -509,14 +511,12 @@ def _root_closure(braiding: DiagonalBraiding, max_roots: int, max_objects: int):
     return roots[0], True
 
 
-def enumerate_positive_roots(
-    braiding: DiagonalBraiding, max_roots: int = 10_000, max_objects: int = 100_000
-):
-    """Positive roots of the arithmetic root system, or BOUND_EXCEEDED.
+def positive_roots(exploration: ExplorationResult, max_roots: int = 10_000):
+    """Positive roots at the exploration's start object, or BOUND_EXCEEDED.
 
     Raises RootSystemUndefinedError when the groupoid fails to exist.
     """
-    base_roots, ok = _root_closure(braiding, max_roots, max_objects)
+    base_roots, ok = _root_closure(exploration, max_roots)
     if not ok:
         return BOUND_EXCEEDED
     return frozenset(
@@ -524,6 +524,16 @@ def enumerate_positive_roots(
         for alpha in base_roots
         if any(a > 0 for a in alpha) and all(a >= 0 for a in alpha)
     )
+
+
+def enumerate_positive_roots(
+    braiding: DiagonalBraiding, max_roots: int = 10_000, max_objects: int = 100_000
+):
+    """Positive roots of the arithmetic root system, or BOUND_EXCEEDED.
+
+    Raises RootSystemUndefinedError when the groupoid fails to exist.
+    """
+    return positive_roots(explore_groupoid(braiding, max_objects), max_roots)
 
 
 def root_label(braiding: DiagonalBraiding, alpha) -> RootOfUnity:

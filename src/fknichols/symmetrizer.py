@@ -22,6 +22,7 @@ from fknichols import _linalg
 from fknichols._kernels_py import _cyc_mul
 from fknichols._numtheory import euler_phi
 from fknichols.cyclotomic import (
+    BadModularSpecError,
     CyclotomicNumber,
     ModularSpec,
     RootOfUnity,
@@ -267,7 +268,9 @@ class _ModularScalars:
 
     def __init__(self, scalar_order: int, spec: ModularSpec):
         if spec.order != scalar_order:
-            spec = find_modular_spec(scalar_order)
+            raise BadModularSpecError(
+                f"spec order {spec.order} does not match scalar order {scalar_order}"
+            )
         self.order = scalar_order
         self.spec = spec
         self.p = spec.prime

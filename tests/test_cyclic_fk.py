@@ -55,6 +55,27 @@ def test_sweep_checkpoint_resume(tmp_path):
     assert report.exists_set() == {n for n in range(2, 16) if is_prime(n) or n == 4}
 
 
+def test_sweep_resumes_from_checkpoint_cut_mid_line(tmp_path):
+    path = tmp_path / "sweep.jsonl"
+    fresh = cf.report_to_json(cf.sweep_groupoid_existence(30, checkpoint=str(path)))
+    data = path.read_bytes()
+    last = data.rstrip(b"\n").rsplit(b"\n", 1)[1]
+    path.write_bytes(data[: len(data) - 1 - len(last) // 2])  # a crash mid-write
+    resumed = cf.report_to_json(cf.sweep_groupoid_existence(30, checkpoint=str(path)))
+    assert resumed == fresh
+    assert path.read_bytes() == data  # the cut entry was dropped and rewritten
+
+
+def test_corrupt_checkpoint_line_before_the_last_raises(tmp_path):
+    path = tmp_path / "sweep.jsonl"
+    cf.sweep_groupoid_existence(12, checkpoint=str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = lines[3][: len(lines[3]) // 2] + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(json.JSONDecodeError):
+        cf.sweep_groupoid_existence(12, checkpoint=str(path))
+
+
 def test_counterexample_families():
     assert (3, 5) in cf.counterexample_family(15)
     assert (7, 4) in cf.counterexample_family(28)

@@ -5,7 +5,7 @@ import pytest
 from fknichols import diagonal as dg
 from fknichols import reflection_groups as rg
 from fknichols import symmetrizer as sm
-from fknichols.cyclotomic import CyclotomicNumber, find_modular_spec
+from fknichols.cyclotomic import BadModularSpecError, CyclotomicNumber, find_modular_spec
 
 
 def diag_space(*args):
@@ -319,6 +319,17 @@ def test_modular_mode_matches_exact(b2_space):
         )
     calc = sm.QuadraticCalculator(b2_space, mode="modular")
     assert [calc.graded_dim(d) for d in range(5)] == [1, 4, 8, 12, 16]
+
+
+def test_modular_spec_of_wrong_order_is_rejected():
+    # a spec for q = 29 (order 7) must not be swapped silently for order 4
+    space = diag_space(4)
+    spec = find_modular_spec(7)
+    assert spec.order != space.scalar_order
+    with pytest.raises(BadModularSpecError):
+        sm.nichols_graded_dim(space, 2, mode="modular", spec=spec)
+    with pytest.raises(BadModularSpecError):
+        sm.QuadraticCalculator(space, mode="modular", spec=spec)
 
 
 def test_budget_error():

@@ -1,7 +1,10 @@
 """Pure-Python kernels: the fallback twin of the compiled extension.
 
-Every function here has an identical counterpart in ``fknichols._kernels``
-(Cython).  ``fknichols.backend`` picks one implementation at import time.
+Every public function here except the row kernels ``reflected_labels``,
+``reflected_row`` and ``exposed_vertex`` has an identical counterpart in
+``fknichols._kernels`` (Cython).  ``fknichols.backend`` picks one
+implementation at import time; the row kernels are pure Python under either
+backend.
 
 Conventions shared by both backends:
 
@@ -84,15 +87,22 @@ def reflect_exponent_matrix(b, n_mod, i, mrow):
     return out
 
 
+def reflected_labels(diag, edge, n_mod, i, mrow):
+    """Vertex labels after reflecting at vertex i: d'_j = d_j + m_j e_ij +
+    m_j^2 d_i, and d'_i = d_i.  Reads row i of ``edge`` only."""
+    di = diag[i] % n_mod
+    out = [
+        (d + mj * e + mj * mj * di) % n_mod for d, e, mj in zip(diag, edge[i], mrow)
+    ]
+    out[i] = diag[i]
+    return out
+
+
 def reflect_diagram(diag, edge, n_mod, i, mrow):
     """Reflected (diag, edge) diagram data at vertex i."""
     r = len(diag)
     di = diag[i] % n_mod
-    new_diag = list(diag)
-    for j in range(r):
-        if j != i:
-            mj = mrow[j]
-            new_diag[j] = (diag[j] + mj * edge[i][j] + mj * mj * di) % n_mod
+    new_diag = reflected_labels(diag, edge, n_mod, i, mrow)
     new_edge = [[0] * r for _ in range(r)]
     for j in range(r):
         for k in range(j + 1, r):
@@ -111,44 +121,60 @@ def reflect_diagram(diag, edge, n_mod, i, mrow):
     return new_diag, new_edge
 
 
+def reflected_row(diag, edge, n_mod, i, mrow, v):
+    """Row v of the edge matrix of ``reflect_diagram(diag, edge, n_mod, i,
+    mrow)``, in O(r): reads ``diag[i]`` and rows i and v of ``edge`` only.
+
+    ``reflect_diagram`` fills the symmetric matrix one entry pair at a time,
+    which is cheaper when every row is wanted; this is for callers that test
+    a reflected diagram from a few of its rows.
+    """
+    di = diag[i] % n_mod
+    erow = edge[i]
+    if v == i:
+        row = [(-e - 2 * mk * di) % n_mod for e, mk in zip(erow, mrow)]
+    else:
+        mv = mrow[v]
+        eiv = erow[v]
+        c = eiv + 2 * mv * di
+        # e'_vk = e_vk + m_v e_ik + m_k (e_iv + 2 m_v d_i) for k != i, v
+        row = [(a + mv * b + mk * c) % n_mod for a, b, mk in zip(edge[v], erow, mrow)]
+        row[i] = (-eiv - 2 * mv * di) % n_mod
+    row[v] = 0
+    return row
+
+
+def exposed_vertex(diag, edge, n_mod, j, mrow):
+    """Lowest vertex that reflecting at j leaves with label 1 and an incident
+    edge: ``_state_failure_vertex`` of the reflected diagram, 0-based, or
+    None.  The reflection at j must be defined (``mrow`` has no UNDEFINED).
+
+    Reads row j of ``edge``, and row v only for a vertex v whose new label
+    is 1, so a diagram whose rows are computed on demand is tested in O(r)
+    unless such a vertex appears.
+    """
+    labels = reflected_labels(diag, edge, n_mod, j, mrow)
+    for v, label in enumerate(labels):
+        if label % n_mod == 0 and any(reflected_row(diag, edge, n_mod, j, mrow, v)):
+            return v
+    return None
+
+
 def scan_bad_reflection(diag, edge, n_mod):
     """First (j, v) such that reflecting at j gives vertex v label 1 while v
     keeps an incident edge, scanning all j at once; None if no single
     reflection exposes a failure.
 
-    Labels after reflecting at j follow d'_v = d_v + m_v e_jv + m_v^2 d_j
-    and the edges of a label-0 candidate are checked explicitly, so the
-    whole scan is quadratic instead of cubic.
+    Each j costs one m-row and one ``exposed_vertex`` call, so the whole
+    scan is quadratic instead of cubic.
     """
-    r = len(diag)
-    for j in range(r):
+    for j in range(len(diag)):
         if diag[j] % n_mod == 0:
             # undefined (visible at the current state) or the identity
             continue
-        m = cartan_mrow(diag, edge, n_mod, j)
-        dj = diag[j] % n_mod
-        erow = edge[j]
-        for v in range(r):
-            if v == j:
-                continue
-            mv = m[v]
-            if (diag[v] + mv * erow[v] + mv * mv * dj) % n_mod:
-                continue
-            # candidate: check v stays connected in the reflected diagram
-            for w in range(r):
-                if w == v:
-                    continue
-                if w == j:
-                    val = (-erow[v] - 2 * mv * dj) % n_mod
-                else:
-                    val = (
-                        edge[v][w]
-                        + mv * erow[w]
-                        + m[w] * erow[v]
-                        + 2 * mv * m[w] * dj
-                    ) % n_mod
-                if val:
-                    return j, v
+        v = exposed_vertex(diag, edge, n_mod, j, cartan_mrow(diag, edge, n_mod, j))
+        if v is not None:
+            return j, v
     return None
 
 

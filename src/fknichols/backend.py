@@ -38,6 +38,10 @@ reflect_diagram = kernels.reflect_diagram
 scan_bad_reflection = kernels.scan_bad_reflection
 combine_exact = kernels.combine_exact
 combine_mod = kernels.combine_mod
+# the row kernels of the sweep heuristic have no compiled counterpart
+reflected_labels = _kernels_py.reflected_labels
+reflected_row = _kernels_py.reflected_row
+exposed_vertex = _kernels_py.exposed_vertex
 
 UNDEFINED = _kernels_py.UNDEFINED
 DIAGONAL_M = _kernels_py.DIAGONAL_M

@@ -309,7 +309,13 @@ def _add_hilbert_args(p):
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", default=True)
     mode.add_argument("--modular", action="store_true")
-    p.add_argument("--budget", type=int, default=symmetrizer.DEFAULT_BLOCK_BUDGET)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=symmetrizer.DEFAULT_BLOCK_BUDGET,
+        help="largest block, in basis tensors of one multidegree, that the "
+        "elimination may meet (default %(default)s); doubled under --modular",
+    )
 
 
 def build_parser() -> _Parser:
@@ -419,6 +425,7 @@ def main(argv=None) -> int:
         reflection_groups.GroupDomainError,
         ConductorMismatchError,
         BadModularSpecError,
+        cyclic_fk.CheckpointMismatchError,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN

@@ -2,11 +2,18 @@
 counterexample families, and the finite-subsystem survey.
 
 The sweep classifies each n by whether the Weyl groupoid of the full cyclic
-braiding exists.  Primes short-circuit (Cartan type); composites first try
-the cheap three-reflection heuristic words s_j s_i s_p (p the smallest
-prime factor), with a full breadth-first exploration as the complete
-fallback.  A failing divisor r | n settles n by inheritance unless
-verification mode forces direct recomputation.
+braiding exists.  Primes short-circuit (Cartan type).  A failing divisor
+r | n settles n by inheritance unless verification mode forces direct
+recomputation.  Other composites first try the heuristic words s_j s_i s_p
+(p the smallest prime factor), up to a cap.  The start object is reflected
+in full once, to s_p(start); each word is then decided from O(r) entries of
+s_i s_p(start) instead of from whole rank-r diagrams: its labels, its row j
+and the m-row at j give the labels after s_j, and a further row is read only
+for a vertex that the word leaves with label 1.  When the capped words find
+no failure, the whole three-reflection word family is scanned at high rank,
+and a breadth-first exploration of the groupoid is the complete fallback.
+A checkpoint records the sweep parameters in its first line and resumes
+only a sweep made with the same ones.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 
 from fknichols import backend, diagonal
@@ -76,49 +83,63 @@ def _heuristic_pairs(r: int):
             yield hi, lo
 
 
+class _ReflectedRows(dict):
+    """Rows of the edge matrix of s_i S, each computed from the rows of S
+    when first read.  One instance serves one word, so no row outlives it."""
+
+    def __init__(self, diag, edge, n, i, mrow):
+        super().__init__()
+        self._args = (diag, edge, n, i, mrow)
+
+    def __missing__(self, v):
+        row = self[v] = backend.reflected_row(*self._args, v)
+        return row
+
+
 def _heuristic_search(n: int, cap: int):
-    """Try the words s_j s_i s_p on the full cyclic braiding.
+    """Try the first cap words s_j s_i s_p, in ``_heuristic_pairs`` order, on
+    the full cyclic braiding.
 
     Returns (witness, failing_vertex) or None.  The witness is the shortest
     prefix of the word that reaches an object with label 1 at a connected
-    vertex.  Shared word prefixes (the initial s_p, and s_i s_p for the
-    descending pairs of each window) are reflected once.
+    vertex, and the failing vertex is the lowest such vertex.
+
+    Only the start object is reflected in full, once, to S0 = s_p(start).
+    A word is then read off a few rows: the prefix s_i is tested by
+    ``exposed_vertex`` on S0, and S1 = s_i S0 is never built.  Its labels
+    take O(r), its row j and the m-row at j another O(r), and the last
+    reflection s_j is tested by ``exposed_vertex`` on those, which reads a
+    further row of S1 only for a vertex whose new label is 1.  A diagram
+    without a failing vertex has a defined reflection at every vertex, so
+    no m-row of S0 or S1 is undefined.
     """
     p = smallest_prime_factor(n)
-    r = n - 1
     braiding = full_cyclic_braiding(n)
-    start = (braiding._diag(), braiding._edge_matrix())
-
-    def step(state, v):
-        """(new_state, bad_vertex) after reflecting at v; state None if the
-        reflection itself is undefined at the current object."""
-        diag, edge = state
-        m = backend.cartan_mrow(diag, edge, n, v - 1)
-        if backend.UNDEFINED in m:
-            return None, diagonal._state_failure_vertex(diag, edge, n)
-        new = backend.reflect_diagram(diag, edge, n, v - 1, m)
-        return new, diagonal._state_failure_vertex(new[0], new[1], n)
-
-    after_p, bad = step(start, p)
-    if after_p is None or bad is not None:
-        return ((p,) if after_p is not None else ()), bad
-    tried = 0
-    hi_prefix: dict[int, tuple | None] = {}
-    for i, j in _heuristic_pairs(r):
-        if tried >= cap:
-            return None
-        tried += 1
-        if i in hi_prefix:
-            after_i = hi_prefix[i]
-        else:
-            after_i, bad = step(after_p, i)
+    diag, edge = braiding._diag(), braiding._edge_matrix()
+    m = backend.cartan_mrow(diag, edge, n, p - 1)
+    if backend.UNDEFINED in m:
+        return (), diagonal._state_failure_vertex(diag, edge, n)
+    diag, edge = backend.reflect_diagram(diag, edge, n, p - 1, m)
+    bad = diagonal._state_failure_vertex(diag, edge, n)
+    if bad is not None:
+        return (p,), bad
+    # (m-row at i of S0, labels of S1) per prefix s_i s_p; the first cap
+    # words use only O(sqrt(cap)) distinct i
+    prefix: dict[int, tuple] = {}
+    for i, j in islice(_heuristic_pairs(n - 1), cap):
+        i0, j0 = i - 1, j - 1
+        if i not in prefix:
+            m_i = backend.cartan_mrow(diag, edge, n, i0)
+            bad = backend.exposed_vertex(diag, edge, n, i0, m_i)
             if bad is not None:
-                return ((p, i) if after_i is not None else (p,)), bad
-            if i > j:  # descending pair: this prefix repeats across the window
-                hi_prefix = {i: after_i}
-        after_j, bad = step(after_i, j)
+                return (p, i), bad + 1
+            prefix[i] = m_i, backend.reflected_labels(diag, edge, n, i0, m_i)
+        m_i, diag1 = prefix[i]
+        rows1 = _ReflectedRows(diag, edge, n, i0, m_i)
+        m_j = backend.cartan_mrow(diag1, rows1, n, j0)
+        bad = backend.exposed_vertex(diag1, rows1, n, j0, m_j)
         if bad is not None:
-            return ((p, i, j) if after_j is not None else (p, i)), bad
+            return (p, i, j), bad + 1
     return None
 
 
@@ -213,25 +234,71 @@ def _check_single_args(args) -> SweepEntry:
     return check_single(*args)
 
 
-def _load_checkpoint(path) -> dict[int, SweepEntry]:
-    """Entries of a sweep checkpoint, one JSON line per n.
+class CheckpointMismatchError(ValueError):
+    """A sweep checkpoint written with other sweep parameters, or with no
+    header recording them."""
 
-    Every entry is written as one line ending in a newline, so text after
-    the last newline is a write cut off mid-line: it is dropped from the
-    file, and its n is recomputed.  Any other corrupt line raises.
+
+#: Version of the checkpoint layout, recorded in its header line.
+CHECKPOINT_SCHEMA = 1
+
+
+def _checkpoint_header(
+    verify: bool, heuristic_first: bool, heuristic_cap: int, max_objects: int
+) -> dict:
+    """The header line of a checkpoint: every parameter an entry depends on."""
+    return {
+        "sweepCheckpoint": CHECKPOINT_SCHEMA,
+        "verify": verify,
+        "heuristicFirst": heuristic_first,
+        "heuristicCap": heuristic_cap,
+        "maxObjects": max_objects,
+    }
+
+
+def _json_line(d: dict) -> str:
+    return json.dumps(d, sort_keys=True) + "\n"
+
+
+def _load_checkpoint(path, header: dict) -> dict[int, SweepEntry]:
+    """Entries of a sweep checkpoint: a header line, then one JSON line per n.
+
+    A missing or empty file is started with ``header``.  A file whose first
+    line is another header, or no header, raises CheckpointMismatchError:
+    its entries may have been computed with other parameters (an entry
+    inherited from a divisor, say, where ``verify`` recomputes it).
+
+    Every line is written whole, ending in a newline, so text after the last
+    newline is a write cut off mid-line: it is dropped from the file, and
+    its n is recomputed; if it was the header, the sweep starts afresh.  Any
+    other corrupt line raises.
     """
-    entries: dict[int, SweepEntry] = {}
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
-        return entries
+        data = b""
     complete = data.rfind(b"\n") + 1
-    for line in data[:complete].decode("utf-8").splitlines():
-        line = line.strip()
-        if line:
-            d = json.loads(line)
-            entries[d["n"]] = _entry_from_json(d)
+    text = data[:complete].decode("utf-8")
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_json_line(header))
+        return {}
+    found = json.loads(lines[0])
+    if not isinstance(found, dict) or "sweepCheckpoint" not in found:
+        raise CheckpointMismatchError(
+            f"checkpoint {path} has no header line recording its sweep parameters"
+        )
+    if found != header:
+        raise CheckpointMismatchError(
+            f"checkpoint {path} was written with {_json_line(found).strip()}, "
+            f"not {_json_line(header).strip()}"
+        )
+    entries: dict[int, SweepEntry] = {}
+    for line in lines[1:]:
+        d = json.loads(line)
+        entries[d["n"]] = _entry_from_json(d)
     if complete < len(data):
         with open(path, "r+b") as fh:
             fh.truncate(complete)
@@ -240,7 +307,7 @@ def _load_checkpoint(path) -> dict[int, SweepEntry]:
 
 def _append_checkpoint(path, entry: SweepEntry) -> None:
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry_to_json(entry), sort_keys=True) + "\n")
+        fh.write(_json_line(entry_to_json(entry)))
 
 
 def sweep_groupoid_existence(
@@ -255,12 +322,17 @@ def sweep_groupoid_existence(
     """Groupoid existence for every 2 <= n <= max_n.
 
     verify=True disables divisor inheritance (every composite is checked
-    directly).  The result is independent of the worker count.
+    directly).  The result is independent of the worker count.  A
+    checkpoint resumes only a sweep made with the same verify,
+    heuristic_first, heuristic_cap and max_objects (``_load_checkpoint``).
     """
     if max_n < 2:
         raise diagonal.DomainError("max_n must be at least 2")
     entries: dict[int, SweepEntry] = {}
-    done: dict[int, SweepEntry] = _load_checkpoint(checkpoint) if checkpoint else {}
+    done: dict[int, SweepEntry] = {}
+    if checkpoint:
+        header = _checkpoint_header(verify, heuristic_first, heuristic_cap, max_objects)
+        done = _load_checkpoint(checkpoint, header)
 
     def record(entry: SweepEntry, fresh: bool) -> None:
         entries[entry.n] = entry

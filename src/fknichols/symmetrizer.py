@@ -370,6 +370,12 @@ class NicholsCalculator:
     """Level-by-level column spaces of the quantum symmetrizers of a space.
 
     Level d stores, per block, an echelon basis of the image of S_d.
+
+    ``block_budget`` bounds the number of basis tensors in one block (one
+    multidegree); a larger block raises ResourceBudgetError, and None means
+    no bound.  In modular mode the budget is doubled, because elimination
+    over a prime field is cheaper than over Z[zeta]: the same budget admits
+    blocks twice as large there.
     """
 
     def __init__(
@@ -593,7 +599,10 @@ def _integerize_sparse(vec: dict[int, CyclotomicNumber]):
 
 class QuadraticCalculator:
     """Graded dimensions of T(V)/(ker(Psi + Id)) via the ideal's column
-    spaces, accumulated per block: I_d = V ox I_(d-1) + R ox V^(ox d-2)."""
+    spaces, accumulated per block: I_d = V ox I_(d-1) + R ox V^(ox d-2).
+
+    ``block_budget`` is doubled in modular mode, as in NicholsCalculator.
+    """
 
     def __init__(
         self,

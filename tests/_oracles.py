@@ -6,10 +6,14 @@
   the tests compare against conjugate_reflection / lambda_scalar.
 * A rank-2 root-chain oracle for the cyclic braidings, in integer arithmetic
   on exponents mod n, used to cross-check the subsystem survey.
+* The first failing prefix of the sweep's heuristic words s_j s_i s_p on
+  the full cyclic braiding, found by reflecting whole diagrams, used to
+  cross-check the sweep heuristic.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from math import gcd
 
 from fknichols.cyclotomic import RootOfUnity
@@ -295,3 +299,94 @@ def rank2_root_system(n: int, a: int, b: int, max_roots: int = 64):
     for b1, b2 in roots:
         dimension *= n // gcd(n, (a * b1 + b * b2) * (b1 + b2))
     return tuple(roots), dimension
+
+
+# ---------------------------------------------------------------------------
+# The sweep heuristic on the full cyclic braiding of C_n, by whole diagrams.
+# Integers mod n only, nothing from fknichols: an object is (d, e) with d[v]
+# the exponent of q_vv and e[v][w] that of q_vw q_wv (0 on the diagonal).
+
+
+def reflect_full(n: int, obj, i: int):
+    """The object s_i(obj), or None when a Cartan entry at i is undefined.
+
+    With s_i(alpha_k) = u_k alpha_k + t_k alpha_i, where (u, t) = (1, m_ik)
+    for k != i and (0, -1) for k = i, the new label of k is the quadratic form
+    Q(x) = sum d_k x_k^2 + sum_{k<l} e_kl x_k x_l at s_i(alpha_k), and the
+    new edge between k and l is the polar form Q(x+y) - Q(x) - Q(y) at
+    their images.
+    """
+    d, e = obj
+    r = len(d)
+    m = [0 if k == i else _cartan_entry(n, d[i], e[i][k]) for k in range(r)]
+    if None in m:
+        return None
+    u = [0 if k == i else 1 for k in range(r)]
+    t = [-1 if k == i else m[k] for k in range(r)]
+    di, ei = d[i], e[i]
+    labels = [
+        (u[k] * u[k] * d[k] + t[k] * t[k] * di + u[k] * t[k] * ei[k]) % n
+        for k in range(r)
+    ]
+    edges = [
+        [
+            0
+            if k == l
+            else (
+                u[k] * u[l] * e[k][l]
+                + u[k] * t[l] * ei[k]
+                + t[k] * u[l] * ei[l]
+                + 2 * t[k] * t[l] * di
+            )
+            % n
+            for l in range(r)
+        ]
+        for k in range(r)
+    ]
+    return labels, edges
+
+
+def _failing_vertex(n: int, obj) -> int | None:
+    """Lowest vertex (1-based) with label 1 and an incident edge."""
+    d, e = obj
+    for v in range(len(d)):
+        if d[v] % n == 0 and any(x % n for x in e[v]):
+            return v + 1
+    return None
+
+
+def heuristic_witness(n: int, cap: int):
+    """(witness, lowest failing vertex) of the first word s_j s_i s_p that
+    fails, among the first cap words, or None.  p is the smallest prime
+    factor of n and the words come in windows: for hi = 2, 3, ..., the pairs
+    (i, j) = (lo, hi) and (hi, lo) for lo = 1, ..., hi - 1.  Each word is
+    applied letter by letter to the full cyclic braiding (labels v, edges
+    v + w); the witness is the prefix after which a vertex fails, or the
+    prefix before a letter whose reflection is undefined.
+    """
+    p = next(k for k in range(2, n + 1) if n % k == 0)
+    start = (
+        list(range(1, n)),
+        [[0 if v == w else (v + w) % n for w in range(1, n)] for v in range(1, n)],
+    )
+    words = (
+        (p, i, j)
+        for hi in range(2, n)
+        for lo in range(1, hi)
+        for i, j in ((lo, hi), (hi, lo))
+    )
+    after = {}  # objects after the prefixes (p) and (p, i), shared by words
+    for word in islice(words, cap):
+        obj = start
+        for k in range(1, 4):
+            prefix = word[:k]
+            new = after.get(prefix) or reflect_full(n, obj, word[k - 1] - 1)
+            if new is None:
+                return word[: k - 1], _failing_vertex(n, obj)
+            bad = _failing_vertex(n, new)
+            if bad is not None:
+                return prefix, bad
+            if k < 3:
+                after[prefix] = new
+            obj = new
+    return None

@@ -131,13 +131,13 @@ def test_sweep_checkpoint_resume(tmp_path, capsys):
     )
     assert code == 0
     lines = open(path).read().strip().splitlines()
-    assert len(lines) == 11
+    assert len(lines) == 1 + 11  # the header, then one line per n
     code, out2, _ = run_cli(
         capsys, "groupoid", "sweep", "--max", "12", "--checkpoint", path
     )
     assert code == 0
     assert out1 == out2
-    assert len(open(path).read().strip().splitlines()) == 11
+    assert open(path).read().strip().splitlines() == lines
 
 
 def test_jobs_env_default(monkeypatch):

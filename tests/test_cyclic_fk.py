@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from _oracles import heuristic_witness
 
+from fknichols import cli
 from fknichols import cyclic_fk as cf
 from fknichols import diagonal as dg
 from fknichols._numtheory import is_prime
@@ -47,11 +49,15 @@ def test_sweep_parallel_is_deterministic():
 def test_sweep_checkpoint_resume(tmp_path):
     path = tmp_path / "sweep.jsonl"
     cf.sweep_groupoid_existence(12, checkpoint=str(path))
-    first = path.read_text().strip().splitlines()
+    header, *first = path.read_text().strip().splitlines()
+    assert json.loads(header) == cf._checkpoint_header(
+        False, True, cf.DEFAULT_HEURISTIC_CAP, cf.DEFAULT_MAX_OBJECTS
+    )
     assert len(first) == 11
     report = cf.sweep_groupoid_existence(15, checkpoint=str(path))
     lines = path.read_text().strip().splitlines()
-    assert len(lines) == 14  # append-only: only 13, 14, 15 added
+    assert lines[: 1 + len(first)] == [header, *first]
+    assert len(lines) == 1 + 14  # append-only: only 13, 14, 15 added
     assert report.exists_set() == {n for n in range(2, 16) if is_prime(n) or n == 4}
 
 
@@ -66,6 +72,42 @@ def test_sweep_resumes_from_checkpoint_cut_mid_line(tmp_path):
     assert path.read_bytes() == data  # the cut entry was dropped and rewritten
 
 
+def test_checkpoint_of_other_parameters_is_refused(tmp_path):
+    path = tmp_path / "sweep.jsonl"
+    cf.sweep_groupoid_existence(30, checkpoint=str(path))
+    data = path.read_bytes()
+    # without the header check this resume reused inherited entries
+    with pytest.raises(cf.CheckpointMismatchError, match="verify"):
+        cf.sweep_groupoid_existence(30, verify=True, checkpoint=str(path))
+    with pytest.raises(cf.CheckpointMismatchError, match="heuristicCap"):
+        cf.sweep_groupoid_existence(30, heuristic_cap=7, checkpoint=str(path))
+    argv = ["groupoid", "sweep", "--max", "30", "--verify", "--checkpoint", str(path)]
+    assert cli.main(argv) == cli.EXIT_DOMAIN
+    assert path.read_bytes() == data
+
+
+def test_checkpoint_without_header_is_refused(tmp_path):
+    path = tmp_path / "sweep.jsonl"
+    cf.sweep_groupoid_existence(12, checkpoint=str(path))
+    data = path.read_bytes()
+    headerless = data.split(b"\n", 1)[1]
+    path.write_bytes(headerless)
+    with pytest.raises(cf.CheckpointMismatchError, match="no header"):
+        cf.sweep_groupoid_existence(12, checkpoint=str(path))
+    assert path.read_bytes() == headerless
+
+
+def test_checkpoint_with_cut_header_starts_afresh(tmp_path):
+    path = tmp_path / "sweep.jsonl"
+    fresh = cf.report_to_json(cf.sweep_groupoid_existence(12, checkpoint=str(path)))
+    data = path.read_bytes()
+    header = data.split(b"\n", 1)[0]
+    path.write_bytes(header[: len(header) // 2])  # a crash mid-write
+    resumed = cf.report_to_json(cf.sweep_groupoid_existence(12, checkpoint=str(path)))
+    assert resumed == fresh
+    assert path.read_bytes() == data
+
+
 def test_corrupt_checkpoint_line_before_the_last_raises(tmp_path):
     path = tmp_path / "sweep.jsonl"
     cf.sweep_groupoid_existence(12, checkpoint=str(path))
@@ -74,6 +116,15 @@ def test_corrupt_checkpoint_line_before_the_last_raises(tmp_path):
     path.write_text("".join(lines))
     with pytest.raises(json.JSONDecodeError):
         cf.sweep_groupoid_existence(12, checkpoint=str(path))
+
+
+@pytest.mark.parametrize("cap", [200, 13, 12])
+def test_heuristic_search_matches_the_whole_diagram_oracle(cap):
+    # 25 of these n first fail at word 13, the first word of the fourth
+    # window: cap 13 cuts that window after it, cap 12 leaves them no witness
+    for n in range(5, 81):
+        if not is_prime(n):
+            assert cf._heuristic_search(n, cap) == heuristic_witness(n, cap), n
 
 
 def test_counterexample_families():

@@ -1,5 +1,7 @@
 import pytest
+from _oracles import reflect_full
 
+from fknichols import _kernels_py as kernels
 from fknichols import diagonal as dg
 from fknichols.cyclotomic import RootOfUnity
 
@@ -234,6 +236,34 @@ def test_cartan_zero_symmetry(rng):
             for j in range(b.rank):
                 if i != j and cm.defined[i][j] and cm.defined[j][i]:
                     assert (cm.entries[i][j] == 0) == (cm.entries[j][i] == 0)
+
+
+def test_row_kernels_read_the_reflected_diagram(rng):
+    """Labels, rows, exposed vertex and scan agree with an independent
+    reflection of the whole diagram, on diagrams with failing vertices too."""
+    for _ in range(300):
+        n, r = rng.randrange(2, 13), rng.randrange(1, 7)
+        diag = [rng.randrange(n) for _ in range(r)]
+        edge = [[0] * r for _ in range(r)]
+        for a in range(r):
+            for b in range(a + 1, r):
+                edge[a][b] = edge[b][a] = rng.choice((0, rng.randrange(n)))
+        first_hit = None
+        for j in range(r):
+            m = kernels.cartan_mrow(diag, edge, n, j)
+            reflected = reflect_full(n, (diag, edge), j)
+            assert (reflected is None) == (kernels.UNDEFINED in m)
+            if reflected is None:
+                continue
+            labels, rows = reflected
+            assert kernels.reflected_labels(diag, edge, n, j, m) == labels
+            assert [kernels.reflected_row(diag, edge, n, j, m, v) for v in range(r)] == rows
+            bad = dg._state_failure_vertex(labels, rows, n)
+            exposed = kernels.exposed_vertex(diag, edge, n, j, m)
+            assert exposed == (None if bad is None else bad - 1)
+            if first_hit is None and bad is not None and diag[j]:
+                first_hit = (j, bad - 1)
+        assert kernels.scan_bad_reflection(diag, edge, n) == first_hit
 
 
 @pytest.mark.parametrize(

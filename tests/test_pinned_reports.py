@@ -1,15 +1,21 @@
-"""SHA-256 digests of reports that the benchmark does not check.
+"""SHA-256 digests of reports, taken from earlier versions of the calculator.
 
-The digests were taken from the JSON reports of the calculator before the
-survey engine classified whole equivalence classes and before the groupoid
-exploration kept its transition table.  They pin two outputs byte for byte:
+The survey and check digests were taken before the survey engine classified
+whole equivalence classes and before the groupoid exploration kept its
+transition table.  The sweep digests were taken while the sweep heuristic
+still reflected whole diagrams for every word.  They pin these outputs byte
+for byte:
 
 * ``subsystems n --max-rank 3 --include-infinite`` for n = 2..30, which
   lists the infinite classes too, so it exercises the equivalence relation
   on subsets whose groupoid fails or whose root closure exceeds its bound;
 * ``groupoid check``, covering EXISTS, FAILS_AT and BOUND_EXCEEDED
   (``--max-objects 5``), whose morphism count includes the objects a
-  stopped exploration never expanded.
+  stopped exploration never expanded;
+* ``groupoid sweep --max 200``, whose composites are settled by a divisor,
+  the heuristic words or the whole three-reflection word family;
+* ``groupoid sweep --max 100 --verify``, which sends every composite up to
+  100 through the heuristic words.
 """
 
 import contextlib
@@ -67,6 +73,11 @@ SURVEY_DIGESTS = {
     30: "6698818ca5b32a82b3d6a9ed5983a24e0ee4cdb514f413908fd11757cda75356",
 }
 
+SWEEP_DIGESTS = {
+    "--max 200": "39147d3798f37810834e7ce22f1db2e870085e8b3cc34291a715d56bd982d4a8",
+    "--max 100 --verify": "9f31e1e9255cdd5c882416c7748d5534f3601dd9316369443e2d2a1786ea703a",
+}
+
 
 def _digest(argv):
     out = io.StringIO()
@@ -84,3 +95,8 @@ def test_include_infinite_survey_reports_are_pinned():
     for n, digest in SURVEY_DIGESTS.items():
         argv = ["subsystems", str(n), "--max-rank", "3", "--include-infinite"]
         assert _digest(argv) == digest, n
+
+
+@pytest.mark.parametrize("args", sorted(SWEEP_DIGESTS))
+def test_groupoid_sweep_report_is_pinned(args):
+    assert _digest(["groupoid", "sweep", *args.split()]) == SWEEP_DIGESTS[args]

@@ -1,12 +1,9 @@
-"""Pure-Python kernels: the fallback twin of the compiled extension.
+"""The integer kernels of the groupoid and symmetrizer engines.
 
-Every public function here except the row kernels ``reflected_labels``,
-``reflected_row`` and ``exposed_vertex`` has an identical counterpart in
-``fknichols._kernels`` (Cython).  ``fknichols.backend`` picks one
-implementation at import time; the row kernels are pure Python under either
-backend.
+This is their only implementation; the engines call them through
+``fknichols.backend`` (see there for why).
 
-Conventions shared by both backends:
+Conventions:
 
 * Braiding exponent data is integer arithmetic mod N.  A "Cartan m-row" for
   vertex ``i`` stores ``m[j] = -a_ij >= 0`` for ``j != i``, ``m[i] = -2``
@@ -21,50 +18,43 @@ Conventions shared by both backends:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 
 UNDEFINED = -1
 DIAGONAL_M = -2
 
 
-@lru_cache(maxsize=65536)
-def _inv_mod(a: int, n: int) -> int:
-    return pow(a, -1, n)
-
-
-def _min_solution(d: int, target: int, n: int) -> int | None:
-    """Least m >= 0 with m*d = target (mod n), or None."""
-    g = gcd(d, n)
-    if target % g:
-        return None
-    n_g = n // g
-    return (target // g) * _inv_mod(d // g, n_g) % n_g
-
-
 def cartan_mrow(diag, edge, n_mod, i):
     """Cartan m-row at vertex i from diagram exponent data.
 
     ``diag[j]`` is the exponent of q_jj, ``edge[j][k]`` the exponent of
-    q_jk q_kj (symmetric, 0 on the diagonal), both mod ``n_mod``.
+    q_jk q_kj (symmetric, 0 on the diagonal), both mod ``n_mod``.  Reads
+    ``edge[i]`` once and no other row.
+
+    With d = diag[i] != 0 and g = gcd(n_mod, d), q_ii has order n_g =
+    n_mod / g, and m_ij for an edge e != 0 is the least m >= 0 with
+    m d = -e (mod n_mod), which exists iff g | e, and n_g - 1 otherwise.
     """
     r = len(diag)
     row = [0] * r
     row[i] = DIAGONAL_M
     d = diag[i] % n_mod
-    for j in range(r):
-        if j == i:
-            continue
-        e = edge[i][j] % n_mod
-        if e == 0:
-            row[j] = 0
+    g = gcd(n_mod, d)
+    n_g = n_mod // g
+    inv = None
+    for j, e in enumerate(edge[i]):
+        e %= n_mod
+        if e == 0 or j == i:
             continue
         if d == 0:
             row[j] = UNDEFINED
-            continue
-        m1 = n_mod // gcd(n_mod, d) - 1
-        m2 = _min_solution(d, (n_mod - e) % n_mod, n_mod)
-        row[j] = m1 if m2 is None else min(m1, m2)
+        elif e % g:
+            row[j] = n_g - 1
+        else:
+            if inv is None:
+                inv = pow(d // g, -1, n_g)
+            # a residue mod n_g, so never above the order bound n_g - 1
+            row[j] = (n_mod - e) // g * inv % n_g
     return row
 
 

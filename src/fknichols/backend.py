@@ -1,47 +1,31 @@
-"""Kernel backend selection.
+"""The integer kernels, as the engines call them.
 
-The compiled extension ``fknichols._kernels`` is used when present; the
-pure-Python twin ``fknichols._kernels_py`` otherwise.  Override with the
-environment variable ``FKNICHOLS_BACKEND=c`` or ``FKNICHOLS_BACKEND=py``
-(requesting ``c`` when the extension is missing raises at import).
+Every kernel has one implementation, in the module ``_kernels_py``; this
+module only binds its names.  Three things outside the package rely on
+this layout, so keep it:
+
+* ``BACKEND`` is the constant ``"py"``: the benchmark (``perfbench/``) counts
+  a run as failed unless ``fknichols.BACKEND == "py"``.
+* The engines call the kernels as ``backend.<name>``, looked up at call
+  time, so a tracer that wraps ``backend.cartan_mrow``,
+  ``backend.reflect_diagram`` and the other names sees every call.  Calls
+  made through ``_kernels_py`` directly would not be counted.
+* The kernels stay in the file ``_kernels_py.py``: the benchmark's
+  wrong-kernel self-test edits that file by name.
 """
-
-from __future__ import annotations
-
-import os
 
 from fknichols import _kernels_py
 
-_requested = os.environ.get("FKNICHOLS_BACKEND", "").strip().lower()
+BACKEND = "py"
 
-if _requested == "py":
-    kernels = _kernels_py
-    BACKEND = "py"
-elif _requested == "c":
-    from fknichols import _kernels  # type: ignore[attr-defined]
-
-    kernels = _kernels
-    BACKEND = "c"
-else:
-    try:
-        from fknichols import _kernels  # type: ignore[attr-defined]
-
-        kernels = _kernels
-        BACKEND = "c"
-    except ImportError:
-        kernels = _kernels_py
-        BACKEND = "py"
-
-cartan_mrow = kernels.cartan_mrow
-reflect_exponent_matrix = kernels.reflect_exponent_matrix
-reflect_diagram = kernels.reflect_diagram
-scan_bad_reflection = kernels.scan_bad_reflection
-combine_exact = kernels.combine_exact
-combine_mod = kernels.combine_mod
-# the row kernels of the sweep heuristic have no compiled counterpart
+cartan_mrow = _kernels_py.cartan_mrow
+reflect_exponent_matrix = _kernels_py.reflect_exponent_matrix
+reflect_diagram = _kernels_py.reflect_diagram
 reflected_labels = _kernels_py.reflected_labels
 reflected_row = _kernels_py.reflected_row
 exposed_vertex = _kernels_py.exposed_vertex
+scan_bad_reflection = _kernels_py.scan_bad_reflection
+combine_exact = _kernels_py.combine_exact
+combine_mod = _kernels_py.combine_mod
 
 UNDEFINED = _kernels_py.UNDEFINED
-DIAGONAL_M = _kernels_py.DIAGONAL_M

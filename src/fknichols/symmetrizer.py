@@ -366,10 +366,8 @@ def _apply_psi_sparse(space, scalars, vec: dict, pos: int, degree: int) -> dict:
 # Nichols graded dimensions
 
 
-class NicholsCalculator:
-    """Level-by-level column spaces of the quantum symmetrizers of a space.
-
-    Level d stores, per block, an echelon basis of the image of S_d.
+class _Calculator:
+    """State and steps shared by the Nichols and quadratic calculators.
 
     ``block_budget`` bounds the number of basis tensors in one block (one
     multidegree); a larger block raises ResourceBudgetError, and None means
@@ -391,9 +389,6 @@ class NicholsCalculator:
         if block_budget is not None and mode == "modular":
             block_budget *= 2
         self.block_budget = block_budget
-        root_block = ((), space.group_unit if space.group_degree is not None else None)
-        level0 = {root_block: [([0], [self.scalars.one])]}
-        self._levels: list[dict] = [level0]
         self._size_cache: dict = {}
 
     def _check_budget(self, multideg):
@@ -404,6 +399,42 @@ class NicholsCalculator:
         size = self._size_cache[multideg]
         if size > self.block_budget:
             raise ResourceBudgetError(size, self.block_budget)
+
+    def _insert(self, echelons, vec_items, degree):
+        """Insert a vector, given as sorted (key, coefficient) pairs, into
+        the echelon of its block; every key of it lies in that block."""
+        if not vec_items:
+            return
+        block = _block_of_key(self.space, vec_items[0][0], degree)
+        self._check_budget(block[0])
+        if block not in echelons:
+            echelons[block] = self.scalars.new_echelon()
+        echelons[block].insert([k for k, _ in vec_items], [c for _, c in vec_items])
+
+
+def _level_of(echelons) -> dict:
+    """The echelon basis of each block, as one calculator level."""
+    return {block: list(ech.vectors) for block, ech in echelons.items()}
+
+
+class NicholsCalculator(_Calculator):
+    """Level-by-level column spaces of the quantum symmetrizers of a space.
+
+    Level d stores, per block, an echelon basis of the image of S_d.  The
+    block budget is as in ``_Calculator``.
+    """
+
+    def __init__(
+        self,
+        space: BraidedSpace,
+        mode: str = "exact",
+        spec: ModularSpec | None = None,
+        block_budget: int | None = DEFAULT_BLOCK_BUDGET,
+    ):
+        super().__init__(space, mode, spec, block_budget)
+        root_block = ((), space.group_unit if space.group_degree is not None else None)
+        level0 = {root_block: [([0], [self.scalars.one])]}
+        self._levels: list[dict] = [level0]
 
     def _extend(self):
         space = self.space
@@ -427,20 +458,9 @@ class NicholsCalculator:
                                 total[k] = scalars.add(total[k], c)
                             else:
                                 total[k] = c
-                    total = {k: c for k, c in total.items() if scalars.nonzero(c)}
-                    if not total:
-                        continue
-                    first = next(iter(total))
-                    block = _block_of_key(space, first, d)
-                    self._check_budget(block[0])
-                    if block not in echelons:
-                        echelons[block] = scalars.new_echelon()
-                    items = sorted(total.items())
-                    echelons[block].insert([k for k, _ in items], [c for _, c in items])
-        level = {}
-        for block, ech in echelons.items():
-            level[block] = [(idx, co) for idx, co in ech.vectors]
-        self._levels.append(level)
+                    items = sorted((k, c) for k, c in total.items() if scalars.nonzero(c))
+                    self._insert(echelons, items, d)
+        self._levels.append(_level_of(echelons))
 
     def _ensure(self, degree: int):
         while len(self._levels) <= degree:
@@ -597,11 +617,11 @@ def _integerize_sparse(vec: dict[int, CyclotomicNumber]):
     return idx, co
 
 
-class QuadraticCalculator:
+class QuadraticCalculator(_Calculator):
     """Graded dimensions of T(V)/(ker(Psi + Id)) via the ideal's column
     spaces, accumulated per block: I_d = V ox I_(d-1) + R ox V^(ox d-2).
 
-    ``block_budget`` is doubled in modular mode, as in NicholsCalculator.
+    The block budget is as in ``_Calculator``.
     """
 
     def __init__(
@@ -611,33 +631,9 @@ class QuadraticCalculator:
         spec: ModularSpec | None = None,
         block_budget: int | None = DEFAULT_BLOCK_BUDGET,
     ):
-        self.space = space
-        self.mode = mode
-        self.scalars = _make_scalars(space, mode, spec)
-        if block_budget is not None and mode == "modular":
-            block_budget *= 2
-        self.block_budget = block_budget
+        super().__init__(space, mode, spec, block_budget)
         self._relations = quadratic_relations(space)
         self._levels: dict[int, dict] = {}
-        self._size_cache: dict = {}
-
-    def _check_budget(self, multideg):
-        if self.block_budget is None:
-            return
-        if multideg not in self._size_cache:
-            self._size_cache[multideg] = _multidegree_size(self.space, multideg)
-        if self._size_cache[multideg] > self.block_budget:
-            raise ResourceBudgetError(self._size_cache[multideg], self.block_budget)
-
-    def _insert(self, echelons, vec_items, degree):
-        """vec_items: sorted (key, coeff-tuple) pairs, exact integers."""
-        if not vec_items:
-            return
-        block = _block_of_key(self.space, vec_items[0][0], degree)
-        self._check_budget(block[0])
-        if block not in echelons:
-            echelons[block] = self.scalars.new_echelon()
-        echelons[block].insert([k for k, _ in vec_items], [c for _, c in vec_items])
 
     def _relation_vector(self, rel: dict[int, CyclotomicNumber]):
         if self.mode == "exact":
@@ -672,10 +668,7 @@ class QuadraticCalculator:
                 for u in range(tail):
                     items = [(k * tail + u, c) for k, c in rel]
                     self._insert(echelons, items, degree)
-        level = {
-            block: [(idx, co) for idx, co in ech.vectors]
-            for block, ech in echelons.items()
-        }
+        level = _level_of(echelons)
         self._levels[degree] = level
         return level
 
@@ -739,6 +732,15 @@ class HilbertData:
         return self.per_degree[degree]
 
 
+def _hilbert(calc: _Calculator, max_degree: int) -> HilbertData:
+    per_degree = []
+    per_multi: dict = {}
+    for d in range(max_degree + 1):
+        per_degree.append(calc.graded_dim(d))
+        per_multi.update(calc.multidegree_dims(d))
+    return HilbertData(max_degree, tuple(per_degree), per_multi)
+
+
 def nichols_hilbert(
     space: BraidedSpace,
     max_degree: int,
@@ -746,14 +748,7 @@ def nichols_hilbert(
     spec: ModularSpec | None = None,
     block_budget: int | None = DEFAULT_BLOCK_BUDGET,
 ) -> HilbertData:
-    calc = NicholsCalculator(space, mode, spec, block_budget)
-    per_degree = []
-    per_multi: dict = {}
-    for d in range(max_degree + 1):
-        per_degree.append(calc.graded_dim(d))
-        for md, v in calc.multidegree_dims(d).items():
-            per_multi[md] = v
-    return HilbertData(max_degree, tuple(per_degree), per_multi)
+    return _hilbert(NicholsCalculator(space, mode, spec, block_budget), max_degree)
 
 
 def quadratic_hilbert(
@@ -763,14 +758,7 @@ def quadratic_hilbert(
     spec: ModularSpec | None = None,
     block_budget: int | None = DEFAULT_BLOCK_BUDGET,
 ) -> HilbertData:
-    calc = QuadraticCalculator(space, mode, spec, block_budget)
-    per_degree = []
-    per_multi: dict = {}
-    for d in range(max_degree + 1):
-        per_degree.append(calc.graded_dim(d))
-        for md, v in calc.multidegree_dims(d).items():
-            per_multi[md] = v
-    return HilbertData(max_degree, tuple(per_degree), per_multi)
+    return _hilbert(QuadraticCalculator(space, mode, spec, block_budget), max_degree)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 import pytest
-from _oracles import reflect_full
+from _oracles import _cartan_entry, reflect_full
 
 from fknichols import _kernels_py as kernels
 from fknichols import diagonal as dg
@@ -239,10 +239,13 @@ def test_cartan_zero_symmetry(rng):
 
 
 def test_row_kernels_read_the_reflected_diagram(rng):
-    """Labels, rows, exposed vertex and scan agree with an independent
-    reflection of the whole diagram, on diagrams with failing vertices too."""
+    """The m-rows agree entry by entry with the Cartan entry oracle, and the
+    labels, rows, exposed vertex and scan with an independent reflection of
+    the whole diagram, on diagrams with failing vertices too.  n up to 60
+    makes labels that share a factor with n common, so both the entries
+    without a solution and those solved through the inverse occur."""
     for _ in range(300):
-        n, r = rng.randrange(2, 13), rng.randrange(1, 7)
+        n, r = rng.randrange(2, 61), rng.randrange(1, 7)
         diag = [rng.randrange(n) for _ in range(r)]
         edge = [[0] * r for _ in range(r)]
         for a in range(r):
@@ -251,6 +254,10 @@ def test_row_kernels_read_the_reflected_diagram(rng):
         first_hit = None
         for j in range(r):
             m = kernels.cartan_mrow(diag, edge, n, j)
+            for k in range(r):
+                if k != j:
+                    entry = _cartan_entry(n, diag[j], edge[j][k])
+                    assert m[k] == (kernels.UNDEFINED if entry is None else entry)
             reflected = reflect_full(n, (diag, edge), j)
             assert (reflected is None) == (kernels.UNDEFINED in m)
             if reflected is None:

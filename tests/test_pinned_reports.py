@@ -16,6 +16,11 @@ for byte:
   the heuristic words or the whole three-reflection word family;
 * ``groupoid sweep --max 100 --verify``, which sends every composite up to
   100 through the heuristic words.
+
+The Hilbert digests were taken while the Nichols and quadratic calculators
+each kept their own constructor, budget check and series loop.  They pin
+the Nichols, quadratic and compared series, exact and modular, of a YD
+module of G(m,p,n) and of a cyclic diagonal braiding.
 """
 
 import contextlib
@@ -78,6 +83,15 @@ SWEEP_DIGESTS = {
     "--max 100 --verify": "9f31e1e9255cdd5c882416c7748d5534f3601dd9316369443e2d2a1786ea703a",
 }
 
+HILBERT_DIGESTS = {
+    "nichols hilbert --group 2 1 2 --max-degree 4": "e3fc40ac13f52587016582e959621407bd9e31466847ef1a9ca785fe9d465949",
+    "nichols hilbert --cyclic 8 --subset 2,7 --max-degree 6": "da776acffe5afa63a4cf323206afc256e42ed9343057c76bd273b48246ce4280",
+    "fk hilbert --group 5 5 2 --max-degree 4": "4a3e0ae99852893a9803c7a51bff50a127c46861a0a7d3d527ecc8a71ca1fa8d",
+    "fk hilbert --group 5 5 2 --max-degree 4 --modular": "1d6d170053e16e0def79a9515d31aa17434989c268a07c113bb7917935a7f837",
+    "hilbert compare --group 2 1 2 --max-degree 4": "a25455f994264a63eca4b54f9fe5c0a3b36954a45aef4952006fb76cbbfefc1c",
+    "hilbert compare --group 2 1 2 --max-degree 4 --modular": "07e86b05a1db387fa327cd4bebe80287621d52522e967d3d41f6c231d7cfd05b",
+}
+
 
 def _digest(argv):
     out = io.StringIO()
@@ -100,3 +114,8 @@ def test_include_infinite_survey_reports_are_pinned():
 @pytest.mark.parametrize("args", sorted(SWEEP_DIGESTS))
 def test_groupoid_sweep_report_is_pinned(args):
     assert _digest(["groupoid", "sweep", *args.split()]) == SWEEP_DIGESTS[args]
+
+
+@pytest.mark.parametrize("args", sorted(HILBERT_DIGESTS))
+def test_hilbert_report_is_pinned(args):
+    assert _digest(args.split()) == HILBERT_DIGESTS[args]

@@ -4,7 +4,11 @@ rational elimination.
 The echelon classes implement incremental rank computation: vectors are
 inserted one at a time and reduced against the pivots found so far.  Exact
 vectors carry integer cyclotomic coefficients (fraction-free elimination
-with content stripping), modular vectors single residues.
+with content stripping), modular vectors single residues.  Every rank in
+the package goes through them.
+
+``rref_fraction`` and ``solve_fraction`` are dense elimination over Q; they
+invert a CyclotomicNumber and serve as test oracles.
 """
 
 from __future__ import annotations
@@ -46,14 +50,6 @@ class ExactEchelon:
                 pco[0], idx, co, co[0], pidx, pco, self.phi, self.red
             )
         return False
-
-    def insert_dict(self, vec: dict[int, tuple[int, ...]]) -> bool:
-        items = sorted(vec.items())
-        idx = [k for k, c in items if any(c)]
-        co = [c for _, c in items if any(c)]
-        if not idx:
-            return False
-        return self.insert(idx, co)
 
 
 class ModularEchelon:
@@ -115,20 +111,6 @@ def rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
         if r == len(mat):
             break
     return mat[:r], pivots
-
-
-def nullspace_fraction(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right nullspace of the matrix given by rows."""
-    rref, pivots = rref_fraction(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        basis.append(vec)
-    return basis
 
 
 def solve_fraction(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:

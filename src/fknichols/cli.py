@@ -63,6 +63,25 @@ def _space_from_args(args) -> symmetrizer.BraidedSpace:
     return symmetrizer.space_from_diagonal(_braiding_from_args(args))
 
 
+def _max_degree(args, least: int = 0) -> int:
+    """The --max-degree of a Hilbert command, which must be at least least."""
+    if args.max_degree < least:
+        raise diagonal.DomainError(
+            f"--max-degree must be at least {least}, got {args.max_degree}"
+        )
+    return args.max_degree
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _mode_args(args) -> dict:
     return {
         "mode": "modular" if args.modular else "exact",
@@ -233,20 +252,23 @@ def _hilbert_csv(data):
 
 
 def _cmd_nichols_hilbert(args):
+    max_degree = _max_degree(args)
     space = _space_from_args(args)
-    data = symmetrizer.nichols_hilbert(space, args.max_degree, **_mode_args(args))
+    data = symmetrizer.nichols_hilbert(space, max_degree, **_mode_args(args))
     return _hilbert_payload("nichols hilbert", args, data), _hilbert_lines(data), _hilbert_csv(data)
 
 
 def _cmd_fk_hilbert(args):
+    max_degree = _max_degree(args)
     space = _space_from_args(args)
-    data = symmetrizer.quadratic_hilbert(space, args.max_degree, **_mode_args(args))
+    data = symmetrizer.quadratic_hilbert(space, max_degree, **_mode_args(args))
     return _hilbert_payload("fk hilbert", args, data), _hilbert_lines(data), _hilbert_csv(data)
 
 
 def _cmd_hilbert_compare(args):
+    max_degree = _max_degree(args, least=2)
     space = _space_from_args(args)
-    cmp = symmetrizer.hilbert_compare(space, args.max_degree, **_mode_args(args))
+    cmp = symmetrizer.hilbert_compare(space, max_degree, **_mode_args(args))
     payload = {
         "command": "hilbert compare",
         "mode": "modular" if args.modular else "exact",
@@ -258,7 +280,7 @@ def _cmd_hilbert_compare(args):
         f"divergence degree: {cmp.divergence_degree}",
     ]
     csv_rows = [["degree", "nichols", "quadratic"]]
-    for d in range(args.max_degree + 1):
+    for d in range(max_degree + 1):
         csv_rows.append([d, cmp.nichols.per_degree[d], cmp.quadratic.per_degree[d]])
     return payload, lines, csv_rows
 
@@ -311,7 +333,7 @@ def _add_hilbert_args(p):
     mode.add_argument("--modular", action="store_true")
     p.add_argument(
         "--budget",
-        type=int,
+        type=_nonnegative_int,
         default=symmetrizer.DEFAULT_BLOCK_BUDGET,
         help="largest block, in basis tensors of one multidegree, that the "
         "elimination may meet (default %(default)s); doubled under --modular",

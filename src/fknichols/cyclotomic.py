@@ -2,9 +2,10 @@
 
 Scalars produced by braidings are roots of unity and stay in the compact
 (order, exponent) form as long as possible; ``CyclotomicNumber`` provides
-the full field Q(zeta_N) once linear algebra needs sums.  ``rank`` is the
-shared kernel for every graded-dimension computation: exact fraction-free
-elimination, or an opt-in modular fast path through a ``ModularSpec``.
+the full field Q(zeta_N) once linear algebra needs sums.  ``rank`` takes the
+rank of a dense CyclotomicNumber matrix, exactly or modulo the prime of a
+``ModularSpec``; the graded-dimension calculators in ``symmetrizer`` feed
+the ``_linalg`` echelons directly instead.
 """
 
 from __future__ import annotations
@@ -164,10 +165,6 @@ class RootOfUnity:
 
     def to_complex(self) -> complex:
         return cmath.exp(2j * cmath.pi * self.exponent / self.order)
-
-
-def root_one(order: int = 1) -> RootOfUnity:
-    return RootOfUnity(order, 0)
 
 
 def root_mul(a: RootOfUnity, b: RootOfUnity) -> RootOfUnity:

@@ -212,15 +212,6 @@ class GroupoidObject:
                     edges.append((i, j, e))
         return GeneralizedDynkinDiagram(self.order, self.vertices, tuple(edges))
 
-    def mirrored(self) -> "GroupoidObject":
-        """The object with zeta replaced by its inverse."""
-        n = self.order
-        return GroupoidObject(
-            n,
-            tuple(-v % n for v in self.vertices),
-            tuple(-e % n for e in self.edges),
-        )
-
 
 def _pack_state(diag: list[int], edge: list[list[int]]) -> tuple:
     r = len(diag)
@@ -635,13 +626,6 @@ def diagram_to_json(diagram: GeneralizedDynkinDiagram) -> dict:
 
 def object_to_json(obj: GroupoidObject) -> dict:
     return diagram_to_json(obj.diagram())
-
-
-def cartan_to_json(data: CartanData) -> dict:
-    return {
-        "entries": [list(r) for r in data.entries],
-        "defined": [list(r) for r in data.defined],
-    }
 
 
 def exploration_to_json(result: ExplorationResult) -> dict:

@@ -319,9 +319,6 @@ class YDModule:
         """Psi(r_a ox r_b) = zeta_L^e r_c ox r_a: returns (c, a, e)."""
         return self.braid_targets[a][b], a, self.braid_exponents[a][b]
 
-    def lambda_root(self, a: int, b: int) -> RootOfUnity:
-        return RootOfUnity(self.scalar_order, self.braid_exponents[a][b])
-
 
 def yd_module(params: GroupParams) -> YDModule:
     """Build Y_G with its braiding; lambda comes from the coroot action."""

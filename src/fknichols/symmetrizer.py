@@ -9,7 +9,9 @@ S_d = T_d (S_(d-1) ox Id) with T_d = sum of the d staircase lifts; the
 direct sum-over-permutations route is kept as an independent oracle.
 
 The quadratic cover T(V)/(ker(Psi + Id)) is handled the same way: the
-degree-d ideal is V ox I_(d-1) + R ox V^(d-2), accumulated per block.
+degree-d ideal is V ox I_(d-1) + R ox V^(d-2), accumulated per block.  The
+relation space R needs no elimination: it is read off the cycles of the
+monomial braiding on V ox V (see ``quadratic_relations``).
 """
 
 from __future__ import annotations
@@ -275,10 +277,7 @@ class _ModularScalars:
         self.spec = spec
         self.p = spec.prime
         self.one = 1
-        zp = [1]
-        for _ in range(scalar_order - 1):
-            zp.append(zp[-1] * spec.zeta_image % self.p)
-        self.zeta_rows = zp
+        self.zeta_rows = spec.zeta_powers()
 
     def mul_zeta(self, c, e: int):
         if e == 0:
@@ -528,93 +527,49 @@ def direct_graded_dim(
 # Quadratic cover
 
 
-def _psi_plus_id_block_matrices(space: BraidedSpace):
-    """Blocks of (Psi + Id) on V ox V as dense CyclotomicNumber matrices.
+def quadratic_relations(space: BraidedSpace) -> list[dict[int, CyclotomicNumber]]:
+    """Basis of R = ker(Psi + Id) on V ox V, as sparse packed vectors.
 
-    Returns a list of (keys, rows) with keys the packed pair indices of the
-    block and rows the matrix of Psi + Id restricted to it.
+    Psi is monomial on the packed pairs a*dim+b, so V ox V splits into
+    Psi-cycles v_0 -> v_1 -> ... -> v_(l-1) -> v_0 with Psi(v_k) =
+    zeta^(e_k) v_(k+1).  On the span of one cycle Psi^l = zeta^s with
+    s = e_0 + ... + e_(l-1), so the characteristic polynomial of Psi there
+    is x^l - zeta^s: its l roots are distinct, and -1 is one of them, with
+    multiplicity one, exactly when (-1)^l zeta^s = 1.  Solving Psi(x) = -x
+    for x = sum c_k v_k gives c_(k+1) = -zeta^(e_k) c_k, so in that case
+    the kernel on the cycle is spanned by
+
+        sum_k (-1)^k zeta^(e_0 + ... + e_(k-1)) v_k,
+
+    and otherwise it is zero.  Each basis vector starts its cycle at the
+    largest packed key, where its coefficient is 1, and the vectors are
+    ordered by (repr of the block of that key, the key).  This is the
+    reduced-echelon nullspace basis of Psi + Id, block by block: the
+    kernel vector of a cycle has full support, so any l - 1 of the cycle's
+    columns are independent and its largest key is the free column.
+    Every coefficient is +-zeta^k, with integer coordinates.
     """
     L = space.scalar_order
-    dim = space.dim
-    blocks: dict = {}
-    for key in range(dim * dim):
-        block = _block_of_key(space, key, 2)
-        blocks.setdefault(block, []).append(key)
-    out = []
-    for block in sorted(blocks, key=repr):
-        keys = blocks[block]
-        pos = {k: r for r, k in enumerate(keys)}
-        size = len(keys)
-        rows = [
-            [CyclotomicNumber.zero(L) for _ in range(size)] for _ in range(size)
-        ]
-        for c, key in enumerate(keys):
-            rows[c][c] += 1
-            pair = key
-            t = space.braid_targets[pair]
-            e = space.braid_exps[pair]
-            rows[pos[t]][c] += CyclotomicNumber.zeta_power(L, e)
-        out.append((keys, rows))
-    return out
-
-
-def quadratic_relations(space: BraidedSpace) -> list[dict[int, CyclotomicNumber]]:
-    """Basis of ker(Psi + Id) on V ox V, as sparse packed vectors."""
-    out = []
-    for keys, rows in _psi_plus_id_block_matrices(space):
-        for vec in _nullspace_cyclotomic(rows):
-            out.append(
-                {keys[i]: v for i, v in enumerate(vec) if not v.is_zero}
-            )
-    return out
-
-
-def _nullspace_cyclotomic(rows):
-    """Right nullspace basis over Q(zeta) by field RREF."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if not mat[i][c].is_zero), None)
-        if pr is None:
+    targets = space.braid_targets
+    exps = space.braid_exps
+    seen = [False] * len(targets)
+    found = []
+    for top in range(len(targets) - 1, -1, -1):
+        if seen[top]:
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    conductor = rows[0][0].conductor
-    for fc in free:
-        vec = [CyclotomicNumber.zero(conductor) for _ in range(ncols)]
-        vec[fc] += 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append(vec)
-    return basis
-
-
-def _integerize_sparse(vec: dict[int, CyclotomicNumber]):
-    from math import lcm as _lcm
-
-    den = 1
-    for v in vec.values():
-        for c in v.coeffs:
-            den = _lcm(den, c.denominator)
-    items = sorted(vec.items())
-    idx = [k for k, _ in items]
-    co = [tuple(int(c * den) for c in v.coeffs) for _, v in items]
-    return idx, co
+        terms = []
+        key, total = top, 0
+        while not seen[key]:
+            seen[key] = True
+            c = CyclotomicNumber.zeta_power(L, total)
+            terms.append((key, -c if len(terms) % 2 else c))
+            total += exps[key]
+            key = targets[key]
+        # (-1)^l zeta_L^s = zeta_(2L)^(l L + 2 s) is 1
+        if (len(terms) * L + 2 * total) % (2 * L) == 0:
+            found.append((repr(_block_of_key(space, top, 2)), top, dict(sorted(terms))))
+    found.sort(key=lambda f: f[:2])
+    return [rel for _, _, rel in found]
 
 
 class QuadraticCalculator(_Calculator):
@@ -637,10 +592,9 @@ class QuadraticCalculator(_Calculator):
 
     def _relation_vector(self, rel: dict[int, CyclotomicNumber]):
         if self.mode == "exact":
-            idx, co = _integerize_sparse(rel)
-            return list(zip(idx, co))
+            return [(k, tuple(c.numerator for c in v.coeffs)) for k, v in rel.items()]
         spec = self.scalars.spec
-        return sorted((k, spec.reduce(v)) for k, v in rel.items())
+        return [(k, spec.reduce(v)) for k, v in rel.items()]
 
     def _level(self, degree: int) -> dict:
         if degree in self._levels:
@@ -733,6 +687,8 @@ class HilbertData:
 
 
 def _hilbert(calc: _Calculator, max_degree: int) -> HilbertData:
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     per_degree = []
     per_multi: dict = {}
     for d in range(max_degree + 1):

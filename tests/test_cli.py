@@ -153,6 +153,10 @@ def test_usage_error_exit_64(capsys):
     assert run_cli(capsys, "bogus")[0] == 64
     assert run_cli(capsys, "groupoid", "check", "6", "--nope")[0] == 64
     assert run_cli(capsys, "groupoid")[0] == 64
+    code, _, err = run_cli(
+        capsys, "nichols", "hilbert", "--cyclic", "4", "--max-degree", "3", "--budget", "-1"
+    )
+    assert code == 64 and "--budget" in err
 
 
 def test_domain_error_exit_1(capsys):
@@ -160,6 +164,14 @@ def test_domain_error_exit_1(capsys):
     assert code == 1 and "error" in err
     code, _, err = run_cli(capsys, "group", "info", "4", "3", "2")
     assert code == 1
+    code, _, err = run_cli(
+        capsys, "hilbert", "compare", "--cyclic", "4", "--subset", "1,2", "--max-degree", "1"
+    )
+    assert code == 1 and err.startswith("error: ")
+    code, out, err = run_cli(
+        capsys, "nichols", "hilbert", "--cyclic", "4", "--max-degree", "-1"
+    )
+    assert code == 1 and err.startswith("error: ") and out == ""
 
 
 def test_pbw_dim_infinite_is_not_an_error(capsys):

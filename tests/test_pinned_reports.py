@@ -17,6 +17,10 @@ for byte:
 * ``groupoid sweep --max 100 --verify``, which sends every composite up to
   100 through the heuristic words.
 
+The relation digests were taken while ``quadratic_relations`` found
+R = ker(Psi + Id) by dense elimination over Q(zeta), block by block.  They
+pin the relation lists themselves: their order, keys and coefficients.
+
 The Hilbert digests were taken while the Nichols and quadratic calculators
 each kept their own constructor, budget check and series loop.  They pin
 the Nichols, quadratic and compared series, exact and modular, of a YD
@@ -29,7 +33,7 @@ import io
 
 import pytest
 
-from fknichols import cli
+from fknichols import cli, diagonal, reflection_groups, symmetrizer
 
 CHECK_DIGESTS = {
     "4": "6675e8d8b316d7d96263cb7d62494f1c8ba2c38ce3dfa267385d228c810efae3",
@@ -92,6 +96,24 @@ HILBERT_DIGESTS = {
     "hilbert compare --group 2 1 2 --max-degree 4 --modular": "07e86b05a1db387fa327cd4bebe80287621d52522e967d3d41f6c231d7cfd05b",
 }
 
+RELATION_DIGESTS = {
+    "G(3,3,3)": "dec91618bdce21ab55f1a03fa5d421f7f53c73cf02ea857582df966b62a01da7",
+    "G(5,5,2)": "d4293837e205eaf30dba570f832a03c60cea53ce14808835f84e07c76d04aeb8",
+    "C8 (1,4)": "8dcf23fccc949f0551e6bbee961c267e86ec469647f469d343a24c3d9112c923",
+    "C5 full": "747d2397f0c17635c445bc13d588ce0461c62bd14460e609ff4662fb8a37cbaa",
+}
+
+RELATION_SPACES = {
+    "G(3,3,3)": lambda: symmetrizer.space_from_yd(
+        reflection_groups.yd_module(reflection_groups.GroupParams(3, 3, 3))
+    ),
+    "G(5,5,2)": lambda: symmetrizer.space_from_yd(
+        reflection_groups.yd_module(reflection_groups.GroupParams(5, 5, 2))
+    ),
+    "C8 (1,4)": lambda: symmetrizer.space_from_diagonal(diagonal.cyclic_braiding(8, [1, 4])),
+    "C5 full": lambda: symmetrizer.space_from_diagonal(diagonal.full_cyclic_braiding(5)),
+}
+
 
 def _digest(argv):
     out = io.StringIO()
@@ -119,3 +141,12 @@ def test_groupoid_sweep_report_is_pinned(args):
 @pytest.mark.parametrize("args", sorted(HILBERT_DIGESTS))
 def test_hilbert_report_is_pinned(args):
     assert _digest(args.split()) == HILBERT_DIGESTS[args]
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_DIGESTS))
+def test_quadratic_relations_are_pinned(name):
+    rels = symmetrizer.quadratic_relations(RELATION_SPACES[name]())
+    text = repr(
+        [sorted((k, tuple(str(c) for c in v.coeffs)) for k, v in rel.items()) for rel in rels]
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == RELATION_DIGESTS[name]

@@ -5,7 +5,7 @@ import pytest
 from fknichols import diagonal as dg
 from fknichols import reflection_groups as rg
 from fknichols import symmetrizer as sm
-from fknichols.cyclotomic import BadModularSpecError, CyclotomicNumber, find_modular_spec
+from fknichols.cyclotomic import BadModularSpecError, CyclotomicNumber, find_modular_spec, rank
 
 
 def diag_space(*args):
@@ -210,10 +210,38 @@ def test_quadratic_relations_s2(yd_cache):
     assert [calc.graded_dim(d) for d in range(4)] == [1, 1, 0, 0]
 
 
+def _negated_by_psi(space, rel) -> bool:
+    """Psi(rel) == -rel, applied term by term through braid_pair."""
+    L = space.scalar_order
+    dim = space.dim
+    image: dict = {}
+    for key, c in rel.items():
+        a, b, e = space.braid_pair(*divmod(key, dim))
+        target = a * dim + b
+        image[target] = image.get(target, CyclotomicNumber.zero(L)) + c * CyclotomicNumber.zeta_power(L, e)
+    image = {k: v for k, v in image.items() if not v.is_zero}
+    return image == {k: -c for k, c in rel.items()}
+
+
 def test_quadratic_relations_dimensions(b2_space, yd_cache):
     assert len(sm.quadratic_relations(b2_space)) == 16 - 8
     d5 = sm.space_from_yd(yd_cache(5, 5, 2))
     assert len(sm.quadratic_relations(d5)) == 25 - 16
+    spaces = []
+    for n in range(2, 13):
+        spaces.append(diag_space(n))
+        spaces += [diag_space(n, pair) for pair in itertools.combinations(range(1, n), 2)]
+    for m, p, n in [(1, 1, 3), (2, 1, 2), (3, 1, 2), (3, 3, 3), (4, 2, 2), (5, 5, 2), (6, 3, 2)]:
+        spaces.append(sm.space_from_yd(yd_cache(m, p, n)))
+    for space in spaces:
+        rels = sm.quadratic_relations(space)
+        # dim R = dim V^2 - rank(Id + Psi), the degree-2 symmetrizer
+        assert len(rels) == space.dim**2 - sm.direct_graded_dim(space, 2), space.name
+        assert all(_negated_by_psi(space, rel) for rel in rels), space.name
+        keys = range(space.dim**2)
+        zero = CyclotomicNumber.zero(space.scalar_order)
+        matrix = [[rel.get(k, zero) for k in keys] for rel in rels]
+        assert rank(matrix) == len(rels), space.name
 
 
 def test_b2_quadratic_series(b2_space):

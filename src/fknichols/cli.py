@@ -407,7 +407,13 @@ def build_parser() -> _Parser:
     pd = psub.add_parser("dim", parents=[common])
     pd.add_argument("--cyclic", type=int, required=True)
     pd.add_argument("--subset")
-    pd.add_argument("--max-roots", type=int, default=10_000)
+    pd.add_argument(
+        "--max-roots",
+        type=int,
+        default=10_000,
+        help="bound on the root closure; 'Infinite' means this bound was "
+        "exceeded, not that the root system is proven infinite",
+    )
     pd.set_defaults(handler=_cmd_pbw_dim)
 
     return parser

@@ -505,8 +505,11 @@ def _root_closure(exploration: ExplorationResult, max_roots: int):
 def positive_roots(exploration: ExplorationResult, max_roots: int = 10_000):
     """Positive roots at the exploration's start object, or BOUND_EXCEEDED.
 
-    Raises RootSystemUndefinedError when the groupoid fails to exist.
+    Raises RootSystemUndefinedError when the groupoid fails to exist, and
+    DomainError when max_roots < 1.
     """
+    if max_roots < 1:
+        raise DomainError("max_roots must be at least 1")
     base_roots, ok = _root_closure(exploration, max_roots)
     if not ok:
         return BOUND_EXCEEDED
@@ -539,6 +542,10 @@ def pbw_dimension(
 ):
     """Product of ord(q_alpha) over positive roots; INFINITE when the root
     closure exceeds its bounds.
+
+    INFINITE means only that a bound was exceeded, not that the root system
+    is proven infinite: a bound below the true root count gives INFINITE
+    for a finite one.
 
     Raises UndefinedDimensionError if a positive root has label 1, and
     RootSystemUndefinedError when the groupoid does not exist.

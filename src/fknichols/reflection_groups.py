@@ -4,10 +4,11 @@ braid-indecomposability.
 
 An element theta^nu sigma sends x_i to theta^(nu_i) x_(sigma(i)), where
 theta is a fixed primitive m-th root of unity and the exponent sum is 0 mod
-p.  The lambda scalar is always computed from the coroot action (the dual
-action convention is (g.f)(x) = f(g^-1 x)); the tabulated closed forms act
-only as test oracles.  Scalars live at order L = lcm(2, m) so that signs
-are honest roots of unity.
+p.  The YD braiding reads the lambda scalar from closed forms in integer
+exponents (derived in ``yd_module``); the coroot action (dual action
+convention (g.f)(x) = f(g^-1 x)), through ``conjugate_reflection`` and
+``lambda_scalar``, acts as the test oracle.  Scalars live at order
+L = lcm(2, m) so that signs are honest roots of unity.
 """
 
 from __future__ import annotations
@@ -321,20 +322,58 @@ class YDModule:
 
 
 def yd_module(params: GroupParams) -> YDModule:
-    """Build Y_G with its braiding; lambda comes from the coroot action."""
+    """Build Y_G with its braiding, reading g t g^-1 and lambda(g, t) off the
+    data (nu, sigma) of g = theta^nu sigma in integer exponents mod L.
+
+    With theta = zeta_L^(L/m) and -1 = zeta_L^(L/2), every lambda is a power
+    of zeta_L.  The dual action sends y_i to theta^(-nu_i) y_(sigma(i)), and
+    lambda(g, t) is defined by g . coroot(t) = lambda coroot(g t g^-1), with
+    the coroots of ``root_coroot``:
+
+    * t = s_i^k has coroot y_i, and g . y_i = theta^(-nu_i) y_(sigma(i)), a
+      multiple of y_(sigma(i)), the coroot of g t g^-1 = s_(sigma(i))^k.  So
+      lambda = theta^(-nu_i).
+    * t = theta^k(ij) with i < j has coroot y_i - theta^(-k) y_j, and
+      g . (y_i - theta^(-k) y_j) = theta^(-nu_i) y_(sigma(i))
+      - theta^(-k-nu_j) y_(sigma(j)).  Put k' = k + nu_j - nu_i mod m.
+
+      - If sigma(i) < sigma(j), factor out theta^(-nu_i): what is left is
+        y_(sigma(i)) - theta^(-k') y_(sigma(j)), the coroot of
+        theta^(k')(sigma(i) sigma(j)).  So lambda = theta^(-nu_i).
+      - Otherwise the lower index is sigma(j); factor out -theta^(-k-nu_j):
+        what is left is y_(sigma(j)) - theta^(k') y_(sigma(i)), the coroot of
+        theta^(-k')(sigma(j) sigma(i)).  So lambda = -theta^(-k-nu_j).
+
+    ``conjugate_reflection`` and ``lambda_scalar`` compute the same entries
+    from group products and the coroot action; the tests use them as the
+    oracle.
+    """
+    m, L = params.m, params.scalar_order
+    step, half = L // m, L // 2
     basis = tuple(enumerate_reflections(params))
-    elements = [s.to_element(params) for s in basis]
-    index = {s: i for i, s in enumerate(basis)}
+    # (i, j, k) with 1-based i, j, and j = 0 for a diagonal reflection
+    index = {(s.i, s.j, s.k): b for b, s in enumerate(basis)}
     targets = []
     exponents = []
-    for a, s in enumerate(basis):
+    for s in basis:
+        g = s.to_element(params)
+        nu, sigma = g.nu, g.sigma
         trow = []
         erow = []
-        for b, t in enumerate(basis):
-            conj = conjugate_reflection(params, elements[a], t)
-            lam = lambda_scalar(params, elements[a], t)
-            trow.append(index[conj])
-            erow.append(lam.rescale(params.scalar_order).exponent)
+        for t in basis:
+            i = t.i - 1
+            if t.kind == "diag":
+                trow.append(index[(sigma[i] + 1, 0, t.k)])
+                erow.append(-step * nu[i] % L)
+                continue
+            j = t.j - 1
+            k_conj = (t.k + nu[j] - nu[i]) % m
+            if sigma[i] < sigma[j]:
+                trow.append(index[(sigma[i] + 1, sigma[j] + 1, k_conj)])
+                erow.append(-step * nu[i] % L)
+            else:
+                trow.append(index[(sigma[j] + 1, sigma[i] + 1, -k_conj % m)])
+                erow.append((half - step * (t.k + nu[j])) % L)
         targets.append(tuple(trow))
         exponents.append(tuple(erow))
     return YDModule(params, basis, tuple(targets), tuple(exponents))

@@ -160,6 +160,17 @@ def space_from_yd(module) -> BraidedSpace:
             targets.append(c * dim + d)
             exps.append(e)
     elements = tuple(s.to_element(module.params) for s in module.basis)
+    # _block_of_key multiplies a running degree by one basis element at a
+    # time, so this memo holds at most |G| * dim products
+    products: dict = {}
+
+    def group_mul(a, b):
+        key = (a, b)
+        g = products.get(key)
+        if g is None:
+            g = products[key] = a * b
+        return g
+
     return BraidedSpace(
         dim,
         L,
@@ -167,7 +178,7 @@ def space_from_yd(module) -> BraidedSpace:
         exps,
         grading=tuple(labels),
         group_degree=elements,
-        group_mul=lambda a, b: a * b,
+        group_mul=group_mul,
         group_unit=module.params.identity(),
         name=f"YD(G({module.params.m},{module.params.p},{module.params.n}))",
     )

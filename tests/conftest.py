@@ -18,7 +18,7 @@ def sweep200():
 
 @pytest.fixture(scope="session")
 def yd_cache():
-    """Session cache of YD modules (lambda assembly is quadratic in dim)."""
+    """Session cache of YD modules, shared by the tests that reuse a group."""
     cache = {}
 
     def get(m, p, n):

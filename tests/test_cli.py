@@ -172,6 +172,9 @@ def test_domain_error_exit_1(capsys):
         capsys, "nichols", "hilbert", "--cyclic", "4", "--max-degree", "-1"
     )
     assert code == 1 and err.startswith("error: ") and out == ""
+    for bound in ("0", "-1"):
+        code, out, err = run_cli(capsys, "pbw", "dim", "--cyclic", "4", "--max-roots", bound)
+        assert code == 1 and err.startswith("error: ") and out == "", bound
 
 
 def test_pbw_dim_infinite_is_not_an_error(capsys):

@@ -25,6 +25,11 @@ The Hilbert digests were taken while the Nichols and quadratic calculators
 each kept their own constructor, budget check and series loop.  They pin
 the Nichols, quadratic and compared series, exact and modular, of a YD
 module of G(m,p,n) and of a cyclic diagonal braiding.
+
+The YD digests were taken while ``yd_module`` built each braiding entry
+from a group product and the coroot action.  They pin the
+``yd decompose`` reports and the braiding tables (targets and lambda
+exponents) of six groups.
 """
 
 import contextlib
@@ -103,6 +108,26 @@ RELATION_DIGESTS = {
     "C5 full": "747d2397f0c17635c445bc13d588ce0461c62bd14460e609ff4662fb8a37cbaa",
 }
 
+YD_GROUPS = ["4 1 5", "6 2 4", "3 3 6", "2 1 2", "4 4 3", "5 1 2"]
+
+YD_REPORT_DIGESTS = {
+    "4 1 5": "7858ae6fe453fdb15bcf6b12fc78399126e132c431797fb811e58f5d345ed930",
+    "6 2 4": "3ac1dbcfa767efe49fe63b796e91648f520c1ee1faa5866114d4e049d4099f79",
+    "3 3 6": "5c5cfd6c3d0c517bab1898dd593ed113f5dae9df584215eca269c9bbfa90f280",
+    "2 1 2": "ed4055e896e7c3f030b6abca27af3b0d60e1ce358218341ecb0693d8baf12caf",
+    "4 4 3": "26472446036f74c606c719d37642eadbe1b708343e0439b02f11ccad68cd93e3",
+    "5 1 2": "9eb2451cfefa0be4689146033112afa17a8d93fffdc2ba39048454d2b11fcf10",
+}
+
+YD_TABLE_DIGESTS = {
+    "4 1 5": "6add6e0add1b4a6969097b10f2eabe8c4763881eb51dc516da7ec1da1de34178",
+    "6 2 4": "341c11459140add9d36be2cb3a8be8c44e92a55bf8b25a875d2fffa4b31f91c9",
+    "3 3 6": "a8a6a867b32f7490b4db600488e341f90e660b081663410a8e8dbebb1eefb913",
+    "2 1 2": "795438204c740e96eb9925befd7d74e9c7d9a4d4445a6cf3d50cafc2271a128e",
+    "4 4 3": "492328b63a9114cad67241cd4031e4b125c94799993c973d44cd7c52b87b1e52",
+    "5 1 2": "d1db8df8aa5ea27feb0611dd3f00ceb0d51565ff35106fc90c3c3480f222f4e6",
+}
+
 RELATION_SPACES = {
     "G(3,3,3)": lambda: symmetrizer.space_from_yd(
         reflection_groups.yd_module(reflection_groups.GroupParams(3, 3, 3))
@@ -150,3 +175,16 @@ def test_quadratic_relations_are_pinned(name):
         [sorted((k, tuple(str(c) for c in v.coeffs)) for k, v in rel.items()) for rel in rels]
     )
     assert hashlib.sha256(text.encode()).hexdigest() == RELATION_DIGESTS[name]
+
+
+@pytest.mark.parametrize("group", YD_GROUPS)
+def test_yd_decompose_report_is_pinned(group):
+    assert _digest(["yd", "decompose", *group.split()]) == YD_REPORT_DIGESTS[group]
+
+
+@pytest.mark.parametrize("group", YD_GROUPS)
+def test_yd_braiding_tables_are_pinned(group):
+    params = reflection_groups.GroupParams(*map(int, group.split()))
+    module = reflection_groups.yd_module(params)
+    text = repr((module.braid_targets, module.braid_exponents))
+    assert hashlib.sha256(text.encode()).hexdigest() == YD_TABLE_DIGESTS[group]

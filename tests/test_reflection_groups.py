@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_group_element, random_reflection
 from _oracles import CONJ_RELATIONS, LAMBDA_CASES, sample_conj, sample_lambda, theta
@@ -120,6 +122,48 @@ def test_lambda_cocycle_law(rng):
             left = rg.lambda_scalar(params, g * h, s)
             right = rg.lambda_scalar(params, g, hsh) * rg.lambda_scalar(params, h, s)
             assert left == right
+
+
+def test_yd_braiding_matches_coroot_action():
+    # every entry of the closed-form braiding against group products and
+    # the coroot action
+    groups = list(all_params(max_m=6, max_n=3))
+    groups.append(rg.GroupParams(4, 1, 5))
+    for params in groups:
+        module = rg.yd_module(params)
+        assert module.basis == tuple(rg.enumerate_reflections(params))
+        L = params.scalar_order
+        for a, s in enumerate(module.basis):
+            g = s.to_element(params)
+            for b, t in enumerate(module.basis):
+                target = module.basis[module.braid_targets[a][b]]
+                assert target == rg.conjugate_reflection(params, g, t), (params, s, t)
+                lam = rg.lambda_scalar(params, g, t)
+                assert module.braid_exponents[a][b] == lam.rescale(L).exponent, (
+                    params, s, t
+                )
+
+
+@st.composite
+def small_groups(draw):
+    """G(m,p,n) with m <= 6, p | m and n <= 3, and at least one reflection."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    p = draw(st.sampled_from([p for p in range(1, m + 1) if m % p == 0]))
+    n = draw(st.integers(min_value=1, max_value=3))
+    params = rg.GroupParams(m, p, n)
+    assume(rg.expected_reflection_count(params) > 0)
+    return params
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups())
+def test_yd_space_satisfies_yang_baxter(params):
+    module = rg.yd_module(params)
+    assert sm.yang_baxter_holds(sm.space_from_yd(module))
+    if params.n >= 2:
+        # the rank formula counts the transposition orbits, which exist
+        # only for n >= 2
+        assert len(rg.decompose_yd(module)) == rg.expected_summand_count(params)
 
 
 def test_root_coroot_reproduces_reflection_action(rng):

@@ -411,8 +411,11 @@ def build_parser() -> _Parser:
         "--max-roots",
         type=int,
         default=10_000,
-        help="bound on the root closure; 'Infinite' means this bound was "
-        "exceeded, not that the root system is proven infinite",
+        help="bound on the root closure.  At rank 2, when the groupoid "
+        "exists, an infinite root system is proven infinite by one loop, "
+        "whatever the bound; at rank >= 3 'Infinite' means only that this "
+        "bound was exceeded.  A bound below the true root count gives "
+        "'Infinite' for a finite system at any rank",
     )
     pd.set_defaults(handler=_cmd_pbw_dim)
 

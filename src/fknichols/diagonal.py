@@ -502,14 +502,98 @@ def _root_closure(exploration: ExplorationResult, max_roots: int):
     return roots[0], True
 
 
+_IDENTITY2 = ((1, 0), (0, 1))
+
+
+def _mul2(x, y):
+    """Product of two 2x2 integer matrices given as row tuples."""
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def rank2_loop(exploration: ExplorationResult):
+    """(steps, M) of the loop s_1, s_2, s_1, ... at the start object of an
+    existing rank-2 groupoid.
+
+    The walk follows ``exploration.transitions`` from object 0 and stops the
+    first time it is back at object 0 after an even number of steps.  M is
+    the product of the reflection matrices R = I + e_i m^T met on the way,
+    the latest on the left, with m the Cartan m-row at vertex i of the
+    object the step starts from: the convention of ``_root_closure``.  M
+    maps the coordinates at object 0 to themselves.
+
+    The walk ends: each reflection is an involution on objects, so the
+    double step s_2 s_1 is a permutation of the finite set of objects, and
+    object 0 lies on one of its cycles.
+    """
+    objects = exploration.objects
+    n = objects[0].order
+    moves = exploration.transitions
+    rows = [list(row) for row in _IDENTITY2]
+    s, steps = 0, 0
+    while True:
+        i = steps % 2
+        diag, edge = _unpack_state((objects[s].vertices, objects[s].edges), 2)
+        m = backend.cartan_mrow(diag, edge, n, i)
+        # R M differs from M in row i only, which gains m^T M
+        rows[i] = [rows[i][k] + m[0] * rows[0][k] + m[1] * rows[1][k] for k in range(2)]
+        s = moves[s][i]
+        steps += 1
+        if s == 0 and steps % 2 == 0:
+            break
+    return steps, (tuple(rows[0]), tuple(rows[1]))
+
+
+def rank2_is_infinite(exploration: ExplorationResult) -> bool:
+    """Whether an existing rank-2 groupoid has an infinite root system: true
+    exactly when the matrix M of ``rank2_loop`` has M^12 != I.
+
+    Proof (Cuntz-Heckenberger, *Weyl groupoids of rank two and continued
+    fractions*, Algebra Number Theory 3 (2009); *Finite Weyl groupoids*,
+    J. reine angew. Math. 702 (2015)):
+
+    * Finite implies M^12 = I.  In a finite Weyl groupoid Hom(0, 0) is
+      finite, so M has finite order.  A finite-order element of GL_2(Z) has
+      order 1, 2, 3, 4 or 6, so M^12 = I.
+    * M^12 = I implies finite.  The m-row at vertex i is the same at an
+      object and at its image under s_i, so R^2 = I and every morphism into
+      object 0 is an alternating word.  The walks s_1, s_2, ... and
+      s_2, s_1, ... from object 0 are periodic with loop matrices M and
+      M^-1, so when M has finite order there are finitely many such words,
+      and the real roots that ``_root_closure`` builds are finite in number.
+    * If M has infinite order, some simple root has an infinite orbit
+      M^k alpha_j at object 0, so the closure exceeds any bound.
+
+    So deciding by the loop gives the closure's answer for every max_roots
+    whenever the root system is infinite.
+    """
+    loop = rank2_loop(exploration)[1]
+    m2 = _mul2(loop, loop)
+    m4 = _mul2(m2, m2)
+    return _mul2(_mul2(m4, m4), m4) != _IDENTITY2
+
+
 def positive_roots(exploration: ExplorationResult, max_roots: int = 10_000):
     """Positive roots at the exploration's start object, or BOUND_EXCEEDED.
+
+    At rank 2, when the groupoid exists, an infinite root system is proven
+    infinite by one loop (``rank2_is_infinite``) and BOUND_EXCEEDED is
+    returned without a closure; a finite one is still closed, and still
+    gives BOUND_EXCEEDED when it has more than max_roots roots.  At rank
+    >= 3, BOUND_EXCEEDED means only that the closure exceeded max_roots.
 
     Raises RootSystemUndefinedError when the groupoid fails to exist, and
     DomainError when max_roots < 1.
     """
     if max_roots < 1:
         raise DomainError("max_roots must be at least 1")
+    if (
+        exploration.status == EXISTS
+        and exploration.objects[0].rank == 2
+        and rank2_is_infinite(exploration)
+    ):
+        return BOUND_EXCEEDED
     base_roots, ok = _root_closure(exploration, max_roots)
     if not ok:
         return BOUND_EXCEEDED
@@ -541,11 +625,12 @@ def pbw_dimension(
     braiding: DiagonalBraiding, max_roots: int = 10_000, max_objects: int = 100_000
 ):
     """Product of ord(q_alpha) over positive roots; INFINITE when the root
-    closure exceeds its bounds.
+    system is infinite or the root closure exceeds its bounds.
 
-    INFINITE means only that a bound was exceeded, not that the root system
-    is proven infinite: a bound below the true root count gives INFINITE
-    for a finite one.
+    At rank 2, when the groupoid exists, an infinite root system is proven
+    infinite by one loop (``positive_roots``), whatever the bounds.  At rank
+    >= 3, INFINITE means only that a bound was exceeded.  At any rank, a
+    bound below the true root count gives INFINITE for a finite system.
 
     Raises UndefinedDimensionError if a positive root has label 1, and
     RootSystemUndefinedError when the groupoid does not exist.

@@ -1,4 +1,5 @@
 import json
+import time
 
 from fknichols import cli, diagonal as dg
 
@@ -182,6 +183,26 @@ def test_pbw_dim_infinite_is_not_an_error(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["finite"] is False and data["dimension"] is None
+
+
+def test_pbw_dim_rank2_infinite_is_decided_by_the_loop(capsys):
+    # the closure used to grind to the bound: seconds at this one
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "pbw", "dim", "--cyclic", "8", "--subset", "1,2",
+        "--max-roots", "1000000",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["finite"] is False
+
+
+def test_pbw_dim_rank2_bound_still_applies_to_finite_systems(capsys):
+    # C5 (1,2) is finite, of dimension 625, but its closure exceeds one root
+    code, out, _ = run_cli(
+        capsys, "pbw", "dim", "--cyclic", "5", "--subset", "1,2",
+        "--max-roots", "1", "--format", "table",
+    )
+    assert code == 0 and out.splitlines()[0] == "dimension: Infinite"
 
 
 def test_resource_error_exit_2(capsys):

@@ -1,5 +1,9 @@
+import functools
+
 import pytest
-from _oracles import _cartan_entry, reflect_full
+from _oracles import _cartan_entry, _reflect_rank2, rank2_root_system, reflect_full
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fknichols import _kernels_py as kernels
 from fknichols import diagonal as dg
@@ -318,6 +322,88 @@ def test_positive_roots_full_c5_exceeds_bounds():
         dg.enumerate_positive_roots(dg.full_cyclic_braiding(5), max_roots=2000)
         is dg.BOUND_EXCEEDED
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _existing_pairs(max_n):
+    """(n, a, b, exploration) for every pair a < b of 1..n-1, n <= max_n,
+    whose groupoid exists."""
+    out = []
+    for n in range(3, max_n + 1):
+        for a in range(1, n):
+            for b in range(a + 1, n):
+                exploration = dg.explore_groupoid(dg.cyclic_braiding(n, (a, b)))
+                if exploration.status == dg.EXISTS:
+                    out.append((n, a, b, exploration))
+    return tuple(out)
+
+
+def _mul2(x, y):
+    return tuple(
+        tuple(sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2))
+        for i in range(2)
+    )
+
+
+IDENTITY2 = ((1, 0), (0, 1))
+
+
+def test_rank2_loop_agrees_with_root_chain_oracle():
+    pairs = _existing_pairs(30)
+    assert len(pairs) > 3000
+    for n, a, b, exploration in pairs:
+        infinite = dg.rank2_is_infinite(exploration)
+        assert infinite == (rank2_root_system(n, a, b) is None), (n, a, b)
+        assert (dg.positive_roots(exploration) is dg.BOUND_EXCEEDED) == infinite
+
+
+def test_rank2_loop_certificate_replays_in_the_oracle():
+    """Replay each loop's steps through the oracle's own reflections: they
+    return to the start object, the oracle's composed map W is the inverse
+    of the loop matrix, and W^12 != I exactly when the loop says infinite."""
+    for n, a, b, exploration in _existing_pairs(30):
+        steps, loop = dg.rank2_loop(exploration)
+        assert steps > 0 and steps % 2 == 0
+        start = (a % n, (a + b) % n, b % n)
+        obj, w = start, IDENTITY2
+        for k in range(steps):
+            obj, w = _reflect_rank2(n, obj, w, k % 2)
+        assert obj == start, (n, a, b)
+        # w[j] is the image of alpha_j, so the matrix of W has columns w[j]
+        matrix = tuple(zip(*w))
+        assert _mul2(matrix, loop) == IDENTITY2, (n, a, b)
+        power = IDENTITY2
+        for _ in range(12):
+            power = _mul2(power, matrix)
+        assert (power != IDENTITY2) == dg.rank2_is_infinite(exploration), (n, a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reflection_is_an_involution_on_groupoid_objects(data):
+    """The rank-2 loop ends because s_i s_i is the identity on objects; it
+    also relies on the m-row at i being the same at s and at s_i(s)."""
+    n = data.draw(st.integers(min_value=3, max_value=30))
+    rank = data.draw(st.integers(min_value=2, max_value=min(4, n - 1)))
+    subset = data.draw(
+        st.lists(st.integers(1, n - 1), min_size=rank, max_size=rank, unique=True)
+    )
+    exploration = dg.explore_groupoid(dg.cyclic_braiding(n, subset), 5_000)
+    if exploration.status != dg.EXISTS:
+        return
+    moves = exploration.transitions
+    for s, obj in enumerate(exploration.objects):
+        for i in range(rank):
+            target = moves[s][i]
+            assert moves[target][i] == s, (n, subset, s, i)
+            assert _object_mrow(obj, i) == _object_mrow(
+                exploration.objects[target], i
+            ), (n, subset, s, i)
+
+
+def _object_mrow(obj, i):
+    edge = [[obj.edge(j + 1, k + 1) for k in range(obj.rank)] for j in range(obj.rank)]
+    return kernels.cartan_mrow(list(obj.vertices), edge, obj.order, i)
 
 
 def test_root_enumeration_propagates_failure():

@@ -483,25 +483,29 @@ def _classify_subset(exploration, max_roots):
 
 
 def _linked_subsets(n, objects):
-    """Subsets whose canonical object is among the groupoid objects.
+    """Subsets whose canonical object, up to the order of its vertices, is
+    among the groupoid objects.
 
     The canonical object of a subset I is (I, pair sums of I mod n), so an
-    object is one exactly when its vertex tuple is increasing and nonzero,
-    its edges are the pair sums of its vertices and, at rank 2, its edge is
-    nonzero (the pair is connected).
+    object is one, with its vertices in some order, exactly when its
+    vertices are nonzero and distinct, its edges are the pair sums of its
+    vertices in that order and, at rank 2, its edge is nonzero (the pair is
+    connected).  The subset is the sorted vertex tuple: a vertex-permuted
+    object is the same diagram, so it has the same root system up to a
+    permutation of coordinates.
     """
     out = set()
     for obj in objects:
         v = obj.vertices
         r = len(v)
-        if v[0] == 0 or any(v[i] >= v[i + 1] for i in range(r - 1)):
+        if 0 in v or len(set(v)) < r:
             continue
         if obj.edges != tuple(
             (v[i] + v[j]) % n for i in range(r) for j in range(i + 1, r)
         ):
             continue
         if r > 2 or obj.edges[0]:
-            out.add(v)
+            out.add(tuple(sorted(v)))
     return out
 
 
@@ -552,10 +556,13 @@ def enumerate_finite_subsystems(
     2. Galois unions are done per orbit: each unit orbit {sorted(k*I)} is
        computed once and its members are united in one step.
     3. Weyl linkage needs no lookup table: a groupoid object is the
-       canonical form of a subset exactly when its vertex tuple is a
-       candidate subset of the same rank and its edges are that subset's
-       pair sums (``_linked_subsets``).  The subsets linked through an
-       existing groupoid have the same objects, so one of them is explored.
+       canonical form of a subset, up to the order of its vertices, exactly
+       when its vertices are nonzero and distinct and its edges are their
+       pair sums in the object's own order; the subset is the sorted vertex
+       tuple (``_linked_subsets``).  A vertex-permuted object is the same
+       diagram, so the linkage does not depend on vertex order.  The subsets
+       linked through an existing groupoid have the same objects up to that
+       permutation, so one of them is explored.
     4. Finiteness is constant on a class: a Galois image has an isomorphic
        groupoid, and Weyl-linked subsets lie in the same groupoid
        component.  Ranks are processed in ascending order and subsets in

@@ -247,6 +247,17 @@ def test_subsystems_include_infinite():
     assert infinite and all(r.dimension is None for r in infinite)
 
 
+def test_weyl_linkage_does_not_depend_on_vertex_order():
+    # the groupoid of (1,4,7) holds the object (2,7,6): the canonical object
+    # of 7*(1,2,6) = (2,6,7) mod 8 with its last two vertices swapped
+    exploration = dg.explore_groupoid(dg.cyclic_braiding(8, (1, 4, 7)))
+    assert (2, 7, 6) in {obj.vertices for obj in exploration.objects}
+    assert (2, 6, 7) in cf._linked_subsets(8, exploration.objects)
+    records = cf.enumerate_finite_subsystems(8, 3, include_infinite=True)
+    (record,) = [r for r in records if (1, 2, 6) in r.members]
+    assert (1, 4, 7) in record.members and not record.finite
+
+
 def test_record_json_round_trip():
     records = cf.enumerate_finite_subsystems(6, 2)
     data = [cf.record_to_json(r) for r in records]

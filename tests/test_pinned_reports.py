@@ -17,6 +17,16 @@ for byte:
 * ``groupoid sweep --max 100 --verify``, which sends every composite up to
   100 through the heuristic words.
 
+The survey digests for n = 8, 10, 14, 16, 20, 24, 28 and 30 were re-pinned
+when the Weyl linkage stopped depending on vertex order: a groupoid object
+whose vertices are a permutation of a subset, with the pair sums in that
+order as edges, now links that subset.  A vertex-permuted object is the same
+diagram, so it has the same root system up to a permutation of coordinates.
+Those eight reports change only by merging classes (nine merges, each of two
+classes that were both infinite); every other survey report, and every
+default survey report for n <= 30 at rank 4 and n <= 20 at rank 5, kept its
+bytes.
+
 The relation digests were taken while ``quadratic_relations`` found
 R = ker(Psi + Id) by dense elimination over Q(zeta), block by block.  They
 pin the relation lists themselves: their order, keys and coefficients.
@@ -62,29 +72,29 @@ SURVEY_DIGESTS = {
     5: "85129063e2e5c8b3f69be57de766613e7db5679b06ae0a0e7020de3b4af5faa4",
     6: "f2d239cf2a6cdcc15c329fdf4d2f65e5785035948cdf9775fcd23ade8bc28f54",
     7: "3be6ae518749d398ffd81b4be262a4278c64bdf1fb2686d42fb78c8a77cf6aaf",
-    8: "fb8ae972fff5570f333f90665a23e19a74e9bae0f51c7db0d9a0746a97e86ad8",
+    8: "430c68d1c3734859f118d553336bfe8526c3c6ac2b957b9726ae37fe16c8259e",
     9: "6d7ec57b53aa2b1df159114bd84205cdda31fe9658171cf75a174454f6ec77db",
-    10: "4307fadc2d3ad0c57afaa28b41c310e1767a1a7d88a8334281bae9f748bf643d",
+    10: "67820ab6e31da03e50a7d359acd6f73f744911ef6073090b3b67e828cc9976e0",
     11: "86003005efee1100d5a50490b2dfd9b2feea85c48178b5ed7d1a26a61118e97c",
     12: "29cdca7fa53b2d4a524b4e74cf779a4f8856e9240a989094768e44167680a954",
     13: "52685e7f919fc4f1f5692aeb6f72b584cb49464c563b89d52d91cc8d5a82d16b",
-    14: "1d1ffa5d5f8b860e1b3b2b03942d8a91e17b69566bd585760f9376849bb0264c",
+    14: "cc39e62fdf3c3e1919647c11d246b62e2b8320915749ed45c1bb1cf7413789d8",
     15: "3486ab6459256990c9afa54d2258156810f731da73f1b70226a4de2e74f24c69",
-    16: "0e7bb5b1b446823c962f0ad5cb3fa6e9fb58575f9dd189e1efb103eb2528bb76",
+    16: "b3fafe6bb0e3eca86b11cd24f95d8b339d31ab8924c99bd1e81023f0931d2c0d",
     17: "3fdb3f40d3766710b899c33f553df037f536f8b48f2509c247b0906ea14164cc",
     18: "a5af05897e1484f58a0364280bae7c69d49e3ab7117557d86db723436e60e66f",
     19: "0dc4cc2a568292fa2d62248396c8abd7e6cc517a4fc85d42231ce89a0a4a39c3",
-    20: "a5e9b091b0bd82ce3b33444721308ed1c92f3621490fe1102b9d22730d5b3294",
+    20: "a2fd9d6ceb8fd8d528464cf5b91836f89e0f809a907e19fce85e190252bd1462",
     21: "b99a2cb36902ae9e5d6c1f95072856aade6e50e70978374c8b625912c15115bb",
     22: "3776f07608863a9d4edc07400d732c593f238572c147b281bdb317cae27b8e04",
     23: "91328036423fe80e6b3e50250969f9cd0253ce3999091aefe141df899bd6e2dd",
-    24: "b1cfb15fa6325e1b9500622594b7f1ca638b6b7a181d2413054a5750d95ab9f2",
+    24: "05b569c32ecb9dba9ca718035cb7c55c63b916fb6ccce5629f40b033631e7416",
     25: "74b87b2560934e612635838021e4d09687c1f779425709c2c2811c36302472bd",
     26: "842dca4556780d24f3686167fa84414017a8753c7eb33af26a8a0fdd16a4246e",
     27: "b8d5124e009cf76d153b85c6017fc236380ab42688aae45b8d52d956cc636d80",
-    28: "6cc457f17631ac0d66e4d9d2570925bb3b6b0c1b0e6b9b443d176daa4e504b63",
+    28: "141c5f8ee4985b6cccd397b1b445fc067f33009d2817cf1266a85e4f890820a2",
     29: "9778ad373f1d6dbb4d876cbe78e35f69eae0d58b77ed3f65e1efe8ef65a7fda3",
-    30: "6698818ca5b32a82b3d6a9ed5983a24e0ee4cdb514f413908fd11757cda75356",
+    30: "11a7a65683c59e03d3bd33fa7c36990236b6f7cc8ec37b01d34a0e8e7bbe5648",
 }
 
 SWEEP_DIGESTS = {

@@ -422,8 +422,12 @@ def decompose_yd(module: YDModule) -> list[YDSummand]:
 
 
 def expected_summand_count(params: GroupParams) -> int:
-    """Rank formula: m/p, plus 1 when n = 2 with p even."""
+    """Rank formula: m/p, plus 1 when n = 2 with p even; m/p - 1 when n = 1,
+    where there are no transpositions and only the m/p - 1 diagonal
+    families s_1^k remain."""
     base = params.m // params.p
+    if params.n == 1:
+        return base - 1
     if params.n == 2 and params.p % 2 == 0:
         return base + 1
     return base

@@ -160,10 +160,7 @@ def small_groups(draw):
 def test_yd_space_satisfies_yang_baxter(params):
     module = rg.yd_module(params)
     assert sm.yang_baxter_holds(sm.space_from_yd(module))
-    if params.n >= 2:
-        # the rank formula counts the transposition orbits, which exist
-        # only for n >= 2
-        assert len(rg.decompose_yd(module)) == rg.expected_summand_count(params)
+    assert len(rg.decompose_yd(module)) == rg.expected_summand_count(params)
 
 
 def test_root_coroot_reproduces_reflection_action(rng):
@@ -209,7 +206,7 @@ def test_dim_formula_all_small_groups():
 
 def test_summand_count_matches_rank_formula(yd_cache):
     for params in all_params(max_m=6, max_n=3):
-        if params.n < 2 or rg.expected_reflection_count(params) == 0:
+        if rg.expected_reflection_count(params) == 0:
             continue
         module = yd_cache(params.m, params.p, params.n)
         summands = rg.decompose_yd(module)
@@ -217,6 +214,17 @@ def test_summand_count_matches_rank_formula(yd_cache):
         assert sum(s.dim for s in summands) == module.dim
         supports = [set(s.indices) for s in summands]
         assert set().union(*supports) == set(range(module.dim))
+
+
+def test_summand_count_of_rank_one_groups():
+    # G(m,p,1) is cyclic: no transpositions, one diagonal family per k
+    for m in range(2, 9):
+        for p in range(1, m):
+            if m % p == 0:
+                params = rg.GroupParams(m, p, 1)
+                module = rg.yd_module(params)
+                assert len(rg.decompose_yd(module)) == m // p - 1, params
+                assert rg.expected_summand_count(params) == m // p - 1, params
 
 
 def test_decompose_g422_supports(yd_cache):

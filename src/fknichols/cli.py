@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -292,15 +293,8 @@ def _cmd_pbw_dim(args):
     dim = None
     orders = []
     if finite:
-        dim = 1
-        for alpha in sorted(roots):
-            label = diagonal.root_label(braiding, alpha)
-            if label.is_one:
-                raise diagonal.UndefinedDimensionError(
-                    f"positive root {alpha} has label 1; dimension undefined"
-                )
-            orders.append(label.multiplicative_order())
-            dim *= orders[-1]
+        orders = [order for _, order in diagonal.root_orders(braiding, roots)]
+        dim = math.prod(orders)
     payload = {
         "command": "pbw dim",
         "cyclic": args.cyclic,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from fknichols import backend
 from fknichols.cyclotomic import RootOfUnity
@@ -359,7 +359,8 @@ class ExplorationResult:
     """Outcome of a groupoid BFS over canonical diagram forms.
 
     ``transitions[s][i]`` is the index in ``objects`` of the object that the
-    reflection at vertex i + 1 sends object s to.  It is recorded for the
+    reflection at vertex i + 1 sends object s to, and ``mrows[s][i]`` is
+    the Cartan m-row of object s at that vertex.  Both are recorded for the
     expanded objects, a prefix of ``objects``: all of them when the status
     is EXISTS.
     """
@@ -370,6 +371,7 @@ class ExplorationResult:
     witness: tuple[int, ...] | None = None
     failing_vertex: int | None = None
     transitions: tuple[tuple[int, ...], ...] = ()
+    mrows: tuple[tuple[tuple[int, ...], ...], ...] = ()
 
 
 def _unpack_state(state: tuple, r: int) -> tuple[list[int], list[list[int]]]:
@@ -407,6 +409,7 @@ def explore_groupoid(
     index: dict[tuple, int] = {start: 0}
     parent_of: list[tuple[int, int] | None] = [None]  # (object index, vertex)
     transitions: list[tuple[int, ...]] = []
+    mrows: list[tuple[tuple[int, ...], ...]] = []
 
     def word_to(s: int) -> tuple[int, ...]:
         word = []
@@ -431,7 +434,8 @@ def explore_groupoid(
                 if _pack_state(nd, ne) != st:
                     morphisms += 1
         return ExplorationResult(
-            status, objects, morphisms, witness, failing, tuple(transitions)
+            status, objects, morphisms, witness, failing,
+            tuple(transitions), tuple(mrows),
         )
 
     while len(transitions) < len(order_seen):
@@ -441,6 +445,7 @@ def explore_groupoid(
         if bad is not None:
             return make_result(FAILS_AT, word_to(s), bad)
         row = []
+        mrow = []
         for i in range(r):
             m = backend.cartan_mrow(diag, edge, n, i)
             nd, ne = backend.reflect_diagram(diag, edge, n, i, m)
@@ -453,17 +458,19 @@ def explore_groupoid(
                 order_seen.append(new_state)
                 parent_of.append((s, i + 1))
             row.append(target)
+            mrow.append(tuple(m))
         transitions.append(tuple(row))
+        mrows.append(tuple(mrow))
     return make_result(EXISTS)
 
 
 def _root_closure(exploration: ExplorationResult, max_roots: int):
     """Fixpoint propagation of simple roots across an explored groupoid.
 
-    Reuses the exploration's transition table; only the Cartan m-rows are
-    recomputed.  Returns (roots at the start object, True), or (None, False)
-    when the exploration or the root count exceeds its bound.  Raises
-    RootSystemUndefinedError if the exploration failed.
+    Reuses the exploration's transition table and m-rows.  Returns (roots
+    at the start object, True), or (None, False) when the exploration or the
+    root count exceeds its bound.  Raises RootSystemUndefinedError if the
+    exploration failed.
     """
     if exploration.status == FAILS_AT:
         raise RootSystemUndefinedError(
@@ -473,13 +480,8 @@ def _root_closure(exploration: ExplorationResult, max_roots: int):
     if exploration.status == BOUND_EXCEEDED_STATUS:
         return None, False
     objects = exploration.objects
-    n = objects[0].order
     r = objects[0].rank
-
-    mrows = []
-    for obj in objects:
-        diag, edge = _unpack_state((obj.vertices, obj.edges), r)
-        mrows.append([backend.cartan_mrow(diag, edge, n, i) for i in range(r)])
+    mrows = exploration.mrows
     moves = exploration.transitions
 
     simples = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
@@ -519,23 +521,21 @@ def rank2_loop(exploration: ExplorationResult):
     The walk follows ``exploration.transitions`` from object 0 and stops the
     first time it is back at object 0 after an even number of steps.  M is
     the product of the reflection matrices R = I + e_i m^T met on the way,
-    the latest on the left, with m the Cartan m-row at vertex i of the
-    object the step starts from: the convention of ``_root_closure``.  M
+    the latest on the left, with m the m-row at vertex i of the object the
+    step starts from (``exploration.mrows``): the convention of
+    ``_root_closure``.  M
     maps the coordinates at object 0 to themselves.
 
     The walk ends: each reflection is an involution on objects, so the
     double step s_2 s_1 is a permutation of the finite set of objects, and
     object 0 lies on one of its cycles.
     """
-    objects = exploration.objects
-    n = objects[0].order
     moves = exploration.transitions
     rows = [list(row) for row in _IDENTITY2]
     s, steps = 0, 0
     while True:
         i = steps % 2
-        diag, edge = _unpack_state((objects[s].vertices, objects[s].edges), 2)
-        m = backend.cartan_mrow(diag, edge, n, i)
+        m = exploration.mrows[s][i]
         # R M differs from M in row i only, which gains m^T M
         rows[i] = [rows[i][k] + m[0] * rows[0][k] + m[1] * rows[1][k] for k in range(2)]
         s = moves[s][i]
@@ -621,6 +621,23 @@ def root_label(braiding: DiagonalBraiding, alpha) -> RootOfUnity:
     return RootOfUnity(braiding.order, braiding.bilinear(alpha, alpha))
 
 
+def root_orders(braiding: DiagonalBraiding, roots) -> list[tuple[tuple[int, ...], int]]:
+    """(alpha, ord(q_alpha)) for each root, in sorted order.
+
+    Raises UndefinedDimensionError if a root has label 1: the PBW factor of
+    such a root, and with it the dimension and the series, is undefined.
+    """
+    out = []
+    for alpha in sorted(roots):
+        label = root_label(braiding, alpha)
+        if label.is_one:
+            raise UndefinedDimensionError(
+                f"positive root {alpha} has label 1; dimension undefined"
+            )
+        out.append((alpha, label.multiplicative_order()))
+    return out
+
+
 def pbw_dimension(
     braiding: DiagonalBraiding, max_roots: int = 10_000, max_objects: int = 100_000
 ):
@@ -638,15 +655,7 @@ def pbw_dimension(
     roots = enumerate_positive_roots(braiding, max_roots, max_objects)
     if roots is BOUND_EXCEEDED:
         return INFINITE
-    dim = 1
-    for alpha in sorted(roots):
-        label = root_label(braiding, alpha)
-        if label.is_one:
-            raise UndefinedDimensionError(
-                f"positive root {alpha} has label 1; dimension undefined"
-            )
-        dim *= label.multiplicative_order()
-    return dim
+    return prod(order for _, order in root_orders(braiding, roots))
 
 
 def pbw_hilbert_series(
@@ -662,14 +671,8 @@ def pbw_hilbert_series(
         raise RootSystemUndefinedError("root system is not finite")
     series = [0] * (max_degree + 1)
     series[0] = 1
-    for alpha in sorted(roots):
-        label = root_label(braiding, alpha)
-        if label.is_one:
-            raise UndefinedDimensionError(
-                f"positive root {alpha} has label 1; series undefined"
-            )
+    for alpha, order in root_orders(braiding, roots):
         height = sum(alpha)
-        order = label.multiplicative_order()
         new = [0] * (max_degree + 1)
         for k in range(order):
             shift = k * height
@@ -683,15 +686,14 @@ def pbw_hilbert_series(
 
 
 def pbw_top_degree(braiding: DiagonalBraiding, **bounds) -> int:
-    """Top degree of the PBW Hilbert series (finite case)."""
+    """Top degree of the PBW Hilbert series (finite case).
+
+    Raises UndefinedDimensionError if a positive root has label 1.
+    """
     roots = enumerate_positive_roots(braiding, **bounds)
     if roots is BOUND_EXCEEDED:
         raise RootSystemUndefinedError("root system is not finite")
-    total = 0
-    for alpha in roots:
-        order = root_label(braiding, alpha).multiplicative_order()
-        total += (order - 1) * sum(alpha)
-    return total
+    return sum((order - 1) * sum(alpha) for alpha, order in root_orders(braiding, roots))
 
 
 # ---------------------------------------------------------------------------

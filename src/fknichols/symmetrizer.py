@@ -8,10 +8,14 @@ the column space level by level through the coset factorization
 S_d = T_d (S_(d-1) ox Id) with T_d = sum of the d staircase lifts; the
 direct sum-over-permutations route is kept as an independent oracle.
 
-The quadratic cover T(V)/(ker(Psi + Id)) is handled the same way: the
-degree-d ideal is V ox I_(d-1) + R ox V^(d-2), accumulated per block.  The
-relation space R needs no elimination: it is read off the cycles of the
-monomial braiding on V ox V (see ``quadratic_relations``).
+The quadratic cover T(V)/(ker(Psi + Id)) is handled the same way: its
+ideal has I_0 = I_1 = 0, I_2 = R and I_d = V ox I_(d-1) + R ox V^(d-2),
+accumulated per block.  The relation space R needs no elimination: it is
+read off the cycles of the monomial braiding on V ox V (see
+``quadratic_relations``).  Both routes run on one skeleton,
+``_Calculator``: a list of levels, one degree check, and one Hilbert loop;
+each route supplies only its level step and its rule for turning the ranks
+of a level into dimensions.
 """
 
 from __future__ import annotations
@@ -275,6 +279,11 @@ class _ExactScalars:
     def new_echelon(self):
         return _linalg.ExactEchelon(self.phi, self.red)
 
+    @staticmethod
+    def from_cyclotomic(v: CyclotomicNumber):
+        """Integer coordinates of an element with integer coefficients."""
+        return tuple(c.numerator for c in v.coeffs)
+
 
 class _ModularScalars:
     """Residues mod spec.prime with zeta mapped to spec.zeta_image."""
@@ -303,6 +312,9 @@ class _ModularScalars:
 
     def new_echelon(self):
         return _linalg.ModularEchelon(self.p)
+
+    def from_cyclotomic(self, v: CyclotomicNumber):
+        return self.spec.reduce(v)
 
 
 def _make_scalars(space: BraidedSpace, mode: str, spec: ModularSpec | None):
@@ -373,11 +385,18 @@ def _apply_psi_sparse(space, scalars, vec: dict, pos: int, degree: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Nichols graded dimensions
+# The calculator skeleton and the Nichols route
 
 
 class _Calculator:
-    """State and steps shared by the Nichols and quadratic calculators.
+    """Level list, degree check and block steps shared by the Nichols and
+    quadratic calculators.
+
+    ``self._levels[d]`` maps each block (multidegree, group degree) to the
+    echelon basis found there at degree d.  A route appends level d =
+    len(self._levels) in ``_extend`` and turns the ranks of ``_ranks(d)``
+    into dimensions in ``multidegree_dims``; ``_level`` is the one place
+    that checks a degree.
 
     ``block_budget`` bounds the number of basis tensors in one block (one
     multidegree); a larger block raises ResourceBudgetError, and None means
@@ -394,19 +413,44 @@ class _Calculator:
         block_budget: int | None = DEFAULT_BLOCK_BUDGET,
     ):
         self.space = space
-        self.mode = mode
         self.scalars = _make_scalars(space, mode, spec)
         if block_budget is not None and mode == "modular":
             block_budget *= 2
         self.block_budget = block_budget
         self._size_cache: dict = {}
+        self._levels: list[dict] = []
+
+    def _level(self, degree: int) -> dict:
+        if degree < 0:
+            raise ValueError("degree must be nonnegative")
+        while len(self._levels) <= degree:
+            self._extend()
+        return self._levels[degree]
+
+    def _ranks(self, degree: int) -> dict:
+        """Number of echelon vectors per multidegree at this degree."""
+        out: dict = {}
+        for (multideg, _), vectors in self._level(degree).items():
+            out[multideg] = out.get(multideg, 0) + len(vectors)
+        return out
+
+    def graded_dim(self, degree: int) -> int:
+        return sum(self.multidegree_dims(degree).values())
+
+    def _previous_vectors(self):
+        """The vectors of the last level, block by block in repr order."""
+        for _, vectors in sorted(self._levels[-1].items(), key=lambda kv: repr(kv[0])):
+            yield from vectors
+
+    def _size(self, multideg) -> int:
+        if multideg not in self._size_cache:
+            self._size_cache[multideg] = _multidegree_size(self.space, multideg)
+        return self._size_cache[multideg]
 
     def _check_budget(self, multideg):
         if self.block_budget is None:
             return
-        if multideg not in self._size_cache:
-            self._size_cache[multideg] = _multidegree_size(self.space, multideg)
-        size = self._size_cache[multideg]
+        size = self._size(multideg)
         if size > self.block_budget:
             raise ResourceBudgetError(size, self.block_budget)
 
@@ -443,51 +487,32 @@ class NicholsCalculator(_Calculator):
     ):
         super().__init__(space, mode, spec, block_budget)
         root_block = ((), space.group_unit if space.group_degree is not None else None)
-        level0 = {root_block: [([0], [self.scalars.one])]}
-        self._levels: list[dict] = [level0]
+        self._levels.append({root_block: [([0], [self.scalars.one])]})
 
     def _extend(self):
         space = self.space
         scalars = self.scalars
         d = len(self._levels)
         dim = space.dim
-        prev = self._levels[-1]
         echelons: dict = {}
-        for (multideg, gdeg), vectors in sorted(
-            prev.items(), key=lambda kv: repr(kv[0])
-        ):
-            for idx, co in vectors:
-                for i in range(dim):
-                    u = {k * dim + i: c for k, c in zip(idx, co)}
-                    total = dict(u)
-                    acc = u
-                    for pos in range(d - 1, 0, -1):
-                        acc = _apply_psi_sparse(space, scalars, acc, pos, d)
-                        for k, c in acc.items():
-                            if k in total:
-                                total[k] = scalars.add(total[k], c)
-                            else:
-                                total[k] = c
-                    items = sorted((k, c) for k, c in total.items() if scalars.nonzero(c))
-                    self._insert(echelons, items, d)
+        for idx, co in self._previous_vectors():
+            for i in range(dim):
+                u = {k * dim + i: c for k, c in zip(idx, co)}
+                total = dict(u)
+                acc = u
+                for pos in range(d - 1, 0, -1):
+                    acc = _apply_psi_sparse(space, scalars, acc, pos, d)
+                    for k, c in acc.items():
+                        if k in total:
+                            total[k] = scalars.add(total[k], c)
+                        else:
+                            total[k] = c
+                items = sorted((k, c) for k, c in total.items() if scalars.nonzero(c))
+                self._insert(echelons, items, d)
         self._levels.append(_level_of(echelons))
 
-    def _ensure(self, degree: int):
-        while len(self._levels) <= degree:
-            self._extend()
-
-    def graded_dim(self, degree: int) -> int:
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        self._ensure(degree)
-        return sum(len(v) for v in self._levels[degree].values())
-
     def multidegree_dims(self, degree: int) -> dict:
-        self._ensure(degree)
-        out: dict = {}
-        for (multideg, _), vectors in self._levels[degree].items():
-            out[multideg] = out.get(multideg, 0) + len(vectors)
-        return out
+        return self._ranks(degree)
 
 
 def nichols_graded_dim(
@@ -585,7 +610,9 @@ def quadratic_relations(space: BraidedSpace) -> list[dict[int, CyclotomicNumber]
 
 class QuadraticCalculator(_Calculator):
     """Graded dimensions of T(V)/(ker(Psi + Id)) via the ideal's column
-    spaces, accumulated per block: I_d = V ox I_(d-1) + R ox V^(ox d-2).
+    spaces, accumulated per block: I_0 = I_1 = 0, I_2 = R and
+    I_d = V ox I_(d-1) + R ox V^(ox d-2).  The dimension in a multidegree
+    is its number of basis tensors minus the ideal's rank there.
 
     The block budget is as in ``_Calculator``.
     """
@@ -598,87 +625,38 @@ class QuadraticCalculator(_Calculator):
         block_budget: int | None = DEFAULT_BLOCK_BUDGET,
     ):
         super().__init__(space, mode, spec, block_budget)
-        self._relations = quadratic_relations(space)
-        self._levels: dict[int, dict] = {}
+        convert = self.scalars.from_cyclotomic
+        self._relations = [
+            [(k, convert(v)) for k, v in rel.items()] for rel in quadratic_relations(space)
+        ]
 
-    def _relation_vector(self, rel: dict[int, CyclotomicNumber]):
-        if self.mode == "exact":
-            return [(k, tuple(c.numerator for c in v.coeffs)) for k, v in rel.items()]
-        spec = self.scalars.spec
-        return [(k, spec.reduce(v)) for k, v in rel.items()]
-
-    def _level(self, degree: int) -> dict:
-        if degree in self._levels:
-            return self._levels[degree]
-        space = self.space
-        dim = space.dim
+    def _extend(self):
+        d = len(self._levels)
+        dim = self.space.dim
         echelons: dict = {}
-        if degree == 2:
+        if d == 2:
             for rel in self._relations:
-                self._insert(echelons, self._relation_vector(rel), 2)
-        else:
-            prev = self._level(degree - 1)
-            shift = dim ** (degree - 1)
-            for (multideg, gdeg), vectors in sorted(
-                prev.items(), key=lambda kv: repr(kv[0])
-            ):
-                for idx, co in vectors:
-                    for i in range(dim):
-                        base = i * shift
-                        items = [(base + k, c) for k, c in zip(idx, co)]
-                        self._insert(echelons, items, degree)
-            rel_vectors = [self._relation_vector(r) for r in self._relations]
-            tail = dim ** (degree - 2)
-            for rel in rel_vectors:
+                self._insert(echelons, rel, 2)
+        elif d > 2:
+            shift = dim ** (d - 1)
+            for idx, co in self._previous_vectors():
+                for i in range(dim):
+                    base = i * shift
+                    self._insert(echelons, [(base + k, c) for k, c in zip(idx, co)], d)
+            tail = dim ** (d - 2)
+            for rel in self._relations:
                 for u in range(tail):
-                    items = [(k * tail + u, c) for k, c in rel]
-                    self._insert(echelons, items, degree)
-        level = _level_of(echelons)
-        self._levels[degree] = level
-        return level
-
-    def graded_dim(self, degree: int) -> int:
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        if degree == 0:
-            return 1
-        if degree == 1:
-            return self.space.dim
-        level = self._level(degree)
-        ideal_rank = sum(len(v) for v in level.values())
-        return self.space.dim**degree - ideal_rank
+                    self._insert(echelons, [(k * tail + u, c) for k, c in rel], d)
+        self._levels.append(_level_of(echelons))
 
     def multidegree_dims(self, degree: int) -> dict:
-        if degree == 0:
-            return {(): 1}
-        if degree == 1:
-            out: dict = {}
-            for label in self.space.grading:
-                out[(label,)] = out.get((label,), 0) + 1
-            return out
-        level = self._level(degree)
-        rank_by_md: dict = {}
-        for (multideg, _), vectors in level.items():
-            rank_by_md[multideg] = rank_by_md.get(multideg, 0) + len(vectors)
+        ranks = self._ranks(degree)
         out = {}
         for multideg in _all_multidegrees(self.space, degree):
-            size = _multidegree_size(self.space, multideg)
-            if size == 0:
-                continue
-            dim = size - rank_by_md.get(multideg, 0)
+            dim = self._size(multideg) - ranks.get(multideg, 0)
             if dim:
                 out[multideg] = dim
         return out
-
-
-def quadratic_graded_dim(
-    space: BraidedSpace,
-    degree: int,
-    mode: str = "exact",
-    spec: ModularSpec | None = None,
-    block_budget: int | None = DEFAULT_BLOCK_BUDGET,
-) -> int:
-    return QuadraticCalculator(space, mode, spec, block_budget).graded_dim(degree)
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +681,9 @@ def _hilbert(calc: _Calculator, max_degree: int) -> HilbertData:
     per_degree = []
     per_multi: dict = {}
     for d in range(max_degree + 1):
-        per_degree.append(calc.graded_dim(d))
-        per_multi.update(calc.multidegree_dims(d))
+        dims = calc.multidegree_dims(d)
+        per_degree.append(sum(dims.values()))
+        per_multi.update(dims)
     return HilbertData(max_degree, tuple(per_degree), per_multi)
 
 

@@ -406,6 +406,24 @@ def _object_mrow(obj, i):
     return kernels.cartan_mrow(list(obj.vertices), edge, obj.order, i)
 
 
+@pytest.mark.parametrize(
+    "braiding, max_objects, status",
+    [
+        (dg.full_cyclic_braiding(4), 100_000, dg.EXISTS),
+        (dg.full_cyclic_braiding(4), 3, dg.BOUND_EXCEEDED_STATUS),
+        (dg.full_cyclic_braiding(6), 100_000, dg.FAILS_AT),
+        (dg.cyclic_braiding(8, [1, 2]), 100_000, dg.EXISTS),
+    ],
+    ids=["C4", "C4-bound", "C6", "C8-12"],
+)
+def test_exploration_keeps_the_mrows_of_expanded_objects(braiding, max_objects, status):
+    exploration = dg.explore_groupoid(braiding, max_objects)
+    assert exploration.status == status
+    assert len(exploration.mrows) == len(exploration.transitions) > 0
+    for obj, rows in zip(exploration.objects, exploration.mrows):
+        assert rows == tuple(tuple(_object_mrow(obj, i)) for i in range(obj.rank))
+
+
 def test_root_enumeration_propagates_failure():
     with pytest.raises(dg.RootSystemUndefinedError):
         dg.enumerate_positive_roots(dg.full_cyclic_braiding(6))
@@ -439,6 +457,19 @@ def test_pbw_undefined_dimension_for_label_one_root():
     b = dg.DiagonalBraiding(4, ((0,),))  # single vertex labelled 1
     with pytest.raises(dg.UndefinedDimensionError):
         dg.pbw_dimension(b)
+
+
+def test_pbw_data_undefined_when_a_root_has_label_one():
+    # q_11 = 1 at an isolated vertex: the groupoid exists, with roots (1, 0)
+    # and (0, 1), but the PBW factor of (1, 0) is undefined
+    b = dg.DiagonalBraiding(3, ((0, 0), (0, 1)))
+    assert dg.enumerate_positive_roots(b) == {(1, 0), (0, 1)}
+    with pytest.raises(dg.UndefinedDimensionError):
+        dg.pbw_dimension(b)
+    with pytest.raises(dg.UndefinedDimensionError):
+        dg.pbw_hilbert_series(b, 2)
+    with pytest.raises(dg.UndefinedDimensionError):
+        dg.pbw_top_degree(b)
 
 
 def _poly_mul(a, b, cap):

@@ -1,6 +1,9 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fknichols import diagonal as dg
 from fknichols import reflection_groups as rg
@@ -107,6 +110,77 @@ def test_quadratic_multidegree_sums(b2_space, yd_cache):
         for d in range(5):
             md = calc.multidegree_dims(d)
             assert sum(md.values()) == calc.graded_dim(d)
+
+
+@pytest.mark.parametrize("calculator", [sm.NicholsCalculator, sm.QuadraticCalculator])
+def test_negative_degree_is_rejected(calculator):
+    calc = calculator(diag_space(4))
+    assert calc.graded_dim(3) > 0  # levels 0..3 exist
+    with pytest.raises(ValueError):
+        calc.graded_dim(-1)
+    with pytest.raises(ValueError):
+        calc.multidegree_dims(-1)
+
+
+# groups G(m,p,n) with m <= 4 and n <= 2 whose YD module is nonzero
+SMALL_GROUPS = [
+    (m, p, n)
+    for m in range(1, 5)
+    for p in range(1, m + 1)
+    for n in (1, 2)
+    if m % p == 0 and (n == 2 or p < m)
+]
+
+
+@st.composite
+def small_spaces(draw, yd_cache):
+    if draw(st.booleans()):
+        return sm.space_from_yd(yd_cache(*draw(st.sampled_from(SMALL_GROUPS))))
+    order = draw(st.integers(2, 12))
+    rank = draw(st.integers(1, 3))
+    entry = st.integers(0, order - 1)
+    rows = draw(
+        st.lists(st.lists(entry, min_size=rank, max_size=rank), min_size=rank, max_size=rank)
+    )
+    return sm.space_from_diagonal(dg.DiagonalBraiding(order, tuple(map(tuple, rows))))
+
+
+def _nonzero(dims: dict) -> dict:
+    return {md: v for md, v in dims.items() if v}
+
+
+@functools.lru_cache(maxsize=None)
+def _large_prime_spec(order):
+    return find_modular_spec(order, min_prime=10**6)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_calculators_agree_with_each_other_and_the_oracle(data, yd_cache):
+    """Exact and direct ranks agree, and so do modular ranks over a large
+    prime.  Over the default prime, the smallest q = 1 (mod L), modular mode
+    is only a bound: the rank of S_d can drop mod q (for q = 1 and L = 2,
+    S_3 is 6 = 0 mod 3), so B(V) can only shrink and the quadratic cover
+    only grow.  The quadratic cover bounds B(V) in every multidegree, with
+    equality through degree 2, because B(V) is a graded quotient of
+    T(V)/(ker(Psi + Id))."""
+    space = data.draw(small_spaces(yd_cache))
+    spec = _large_prime_spec(space.scalar_order)
+    calcs = [
+        (sm.NicholsCalculator(space, *args), sm.QuadraticCalculator(space, *args))
+        for args in (("exact",), ("modular", spec), ("modular",))
+    ]
+    for d in range(4):
+        (nich, quad), (nich_mod, quad_mod), (nich_low, quad_high) = [
+            (_nonzero(n.multidegree_dims(d)), q.multidegree_dims(d)) for n, q in calcs
+        ]
+        assert sum(nich.values()) == sm.direct_graded_dim(space, d), (space.name, d)
+        assert (nich_mod, quad_mod) == (nich, quad), (space.name, d)
+        assert all(nich.get(md, 0) >= v for md, v in nich_low.items()), (space.name, d)
+        assert all(quad_high.get(md, 0) >= v for md, v in quad.items()), (space.name, d)
+        assert all(quad.get(md, 0) >= v for md, v in nich.items()), (space.name, d)
+        if d <= 2:
+            assert quad == nich, (space.name, d)
 
 
 def test_c2_graded_dims():
@@ -365,7 +439,15 @@ def test_budget_error():
     with pytest.raises(sm.ResourceBudgetError) as err:
         sm.nichols_graded_dim(space, 6, block_budget=10)
     assert err.value.required > 10
-    # modular mode doubles the cap
+    # modular mode doubles the cap: C4 has a block of 6 tensors at degree 3,
+    # the multidegree (1, 2, 3)
+    with pytest.raises(sm.ResourceBudgetError) as err:
+        sm.nichols_graded_dim(space, 3, block_budget=4)
+    assert (err.value.required, err.value.budget) == (6, 4)
+    assert sm.nichols_graded_dim(space, 3, mode="modular", block_budget=4) == 14
+    with pytest.raises(sm.ResourceBudgetError):
+        sm.QuadraticCalculator(space, block_budget=4).graded_dim(3)
+    assert sm.QuadraticCalculator(space, mode="modular", block_budget=4).graded_dim(3) == 16
     small = diag_space(2)
     assert sm.nichols_graded_dim(small, 2, block_budget=1) == 0  # blocks of size 1
 

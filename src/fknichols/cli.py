@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 from fknichols import cyclic_fk, diagonal, reflection_groups, symmetrizer
 from fknichols.cyclotomic import BadModularSpecError, ConductorMismatchError
@@ -432,8 +433,15 @@ def render_csv(rows) -> str:
     return buf.getvalue()
 
 
+@lru_cache(maxsize=4)
+def _parser_for(jobs_env: str | None) -> _Parser:
+    """``build_parser()`` built once per value of FKNICHOLS_JOBS, the one
+    input it reads (the ``--jobs`` default); ``parse_args`` keeps no state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser_for(os.environ.get("FKNICHOLS_JOBS"))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -17,7 +17,8 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from fknichols import _linalg
-from fknichols._numtheory import divisors, euler_phi, is_prime, prime_factors
+from fknichols._kernels_py import _cyc_mul
+from fknichols._numtheory import divisors, euler_phi, is_prime, prime_factors, units
 
 
 class ConductorMismatchError(ValueError):
@@ -99,6 +100,38 @@ def reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     for k in range(phi, 2 * phi - 1):
         rows.append(table[k % n])
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _conjugation_rows(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each k in (Z/n)^x other than 1: the tuples of sigma_k(zeta^j) =
+    zeta^(jk), j = 0..phi-1."""
+    phi = euler_phi(n)
+    return tuple(
+        tuple(integer_zeta_power(n, j * k) for j in range(phi))
+        for k in units(n)
+        if k != 1
+    )
+
+
+def norm_cofactor(a: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """c(a) = prod of sigma_k(a) over k in (Z/n)^x, k != 1, where
+    sigma_k(zeta) = zeta^k; a is an integer power-basis tuple at conductor n.
+
+    a * c(a) is the field norm N(a), a rational integer, nonzero when a is.
+    """
+    phi = len(a)
+    red = reduction_rows(n)
+    out = integer_zeta_power(n, 0)
+    for rows in _conjugation_rows(n):
+        conj = [0] * phi
+        for aj, row in zip(a, rows):
+            if aj:
+                for m, r in enumerate(row):
+                    if r:
+                        conj[m] += aj * r
+        out = _cyc_mul(out, conj, phi, red)
+    return out
 
 
 class RootOfUnity:
@@ -404,7 +437,7 @@ def rank(matrix, mode: str = "exact", spec: ModularSpec | None = None) -> int:
             if x.conductor != conductor:
                 raise ConductorMismatchError("matrix entries mix conductors")
     if mode == "exact":
-        ech = _linalg.ExactEchelon(euler_phi(conductor), reduction_rows(conductor))
+        ech = _linalg.ExactEchelon(conductor)
         for j in range(width):
             idx, co = _integerize_column([rows[i][j] for i in range(len(rows))])
             if idx:

@@ -277,7 +277,7 @@ class _ExactScalars:
         return tuple(x + y for x, y in zip(a, b))
 
     def new_echelon(self):
-        return _linalg.ExactEchelon(self.phi, self.red)
+        return _linalg.ExactEchelon(self.order)
 
     @staticmethod
     def from_cyclotomic(v: CyclotomicNumber):

@@ -150,6 +150,23 @@ def test_jobs_env_default(monkeypatch):
     assert args.jobs == 1
 
 
+def test_main_jobs_default_follows_env_per_call(monkeypatch, capsys):
+    # main reuses its parser within a process; the --jobs default must still
+    # be read from FKNICHOLS_JOBS as it is at each call
+    real = cli.cyclic_fk.sweep_groupoid_existence
+    seen = []
+
+    def fake(max_n, **kwargs):
+        seen.append(kwargs["jobs"])
+        return real(max_n, **{**kwargs, "jobs": 1})
+
+    monkeypatch.setattr(cli.cyclic_fk, "sweep_groupoid_existence", fake)
+    for value in ("3", "1"):
+        monkeypatch.setenv("FKNICHOLS_JOBS", value)
+        assert run_cli(capsys, "groupoid", "sweep", "--max", "5")[0] == 0
+    assert seen == [3, 1]
+
+
 def test_usage_error_exit_64(capsys):
     assert run_cli(capsys, "bogus")[0] == 64
     assert run_cli(capsys, "groupoid", "check", "6", "--nope")[0] == 64

@@ -4,7 +4,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fknichols._linalg import rref_fraction
+from fknichols._numtheory import euler_phi
 from fknichols.cyclotomic import (
     BadModularSpecError,
     ConductorMismatchError,
@@ -14,6 +18,7 @@ from fknichols.cyclotomic import (
     cyclotomic_polynomial,
     embed,
     find_modular_spec,
+    norm_cofactor,
     rank,
     root_mul,
 )
@@ -204,3 +209,82 @@ def test_rank_rejects_mismatched_spec():
     mat = [[CyclotomicNumber.one(4)]]
     with pytest.raises(BadModularSpecError):
         rank(mat, mode="modular", spec=find_modular_spec(6))
+
+
+NORM_CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12)
+
+
+def _small_tuples(conductor, allow_zero=False):
+    phi = euler_phi(conductor)
+    tuples = st.tuples(*[st.integers(-4, 4)] * phi)
+    return tuples if allow_zero else tuples.filter(any)
+
+
+@st.composite
+def nonzero_elements(draw):
+    conductor = draw(st.sampled_from(NORM_CONDUCTORS))
+    return conductor, draw(_small_tuples(conductor))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonzero_elements())
+def test_norm_cofactor_gives_the_norm(case):
+    conductor, a = case
+    product = CyclotomicNumber(conductor, a) * CyclotomicNumber(
+        conductor, norm_cofactor(a, conductor)
+    )
+    norm = product.coeffs[0]
+    assert not any(product.coeffs[1:])
+    assert norm != 0
+    if conductor >= 3:
+        # Q(zeta) is totally imaginary: N(a) is a product of |sigma(a)|^2
+        assert norm > 0
+    x = sympy.symbols("x")
+    poly = sum(c * x**j for j, c in enumerate(a))
+    assert norm == sympy.resultant(sympy.cyclotomic_poly(conductor, x), poly, x)
+
+
+def _regular_representation(x):
+    """The phi x phi rational matrix of multiplication by x on the power basis."""
+    phi = len(x.coeffs)
+    cols = [(x * CyclotomicNumber.zeta_power(x.conductor, j)).coeffs for j in range(phi)]
+    return [[cols[j][i] for j in range(phi)] for i in range(phi)]
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """A product of random (rows x inner) and (inner x cols) matrices over
+    Z[zeta] with small entries, so ranks below full occur and leads are
+    rarely rational."""
+    conductor = draw(st.sampled_from(NORM_CONDUCTORS))
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def matrix(r, c):
+        return [
+            [CyclotomicNumber(conductor, draw(_small_tuples(conductor, True))) for _ in range(c)]
+            for _ in range(r)
+        ]
+
+    left, right = matrix(rows, inner), matrix(inner, cols)
+    return [
+        [sum((left[i][k] * right[k][j] for k in range(inner)), CyclotomicNumber.zero(conductor))
+         for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(low_rank_matrices())
+def test_exact_rank_matches_fraction_oracle(mat):
+    # over Q the regular representation of a Q(zeta) matrix of rank r has
+    # rank r * phi
+    phi = len(mat[0][0].coeffs)
+    blocks = [[_regular_representation(x) for x in row] for row in mat]
+    flat = [
+        [entry for block in block_row for entry in block[i]]
+        for block_row in blocks
+        for i in range(phi)
+    ]
+    q_rank = len(rref_fraction(flat)[1])
+    assert q_rank % phi == 0
+    assert rank(mat) == q_rank // phi

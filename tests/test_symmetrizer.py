@@ -188,6 +188,26 @@ def test_c2_graded_dims():
     assert [sm.nichols_graded_dim(space, d) for d in range(4)] == [1, 1, 0, 0]
 
 
+def test_exact_c8_coefficients_stay_small():
+    # every echelon pivot has a rational-integer lead, so the exact levels
+    # of C8 (1,4) keep small coefficients (without that they double in
+    # bit length with each degree, to 25,648 bits at degree 12)
+    braiding = dg.cyclic_braiding(8, (1, 4))
+    series = dg.pbw_hilbert_series(braiding, 14)
+    calc = sm.NicholsCalculator(sm.space_from_diagonal(braiding))
+    for d in range(15):
+        assert calc.graded_dim(d) == series[d], d
+        if d <= 12:
+            bits = max(
+                abs(x).bit_length()
+                for vectors in calc._levels[d].values()
+                for _, co in vectors
+                for c in co
+                for x in c
+            )
+            assert bits < 64, (d, bits)
+
+
 def test_b2_nichols_series(b2_space):
     calc = sm.NicholsCalculator(b2_space)
     dims = [calc.graded_dim(d) for d in range(9)]

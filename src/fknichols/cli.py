@@ -130,7 +130,6 @@ def _cmd_groupoid_check(args):
 def _cmd_groupoid_sweep(args):
     report = cyclic_fk.sweep_groupoid_existence(
         args.max,
-        heuristic_first=not args.no_heuristic,
         jobs=args.jobs,
         verify=args.verify,
         checkpoint=args.checkpoint,
@@ -354,7 +353,6 @@ def build_parser() -> _Parser:
     sweep.add_argument("--max", type=int, required=True)
     sweep.add_argument("--jobs", type=int, default=_default_jobs())
     sweep.add_argument("--verify", action="store_true")
-    sweep.add_argument("--no-heuristic", action="store_true")
     sweep.add_argument("--checkpoint")
     sweep.add_argument("--expect-conjecture", action="store_true")
     sweep.set_defaults(handler=_cmd_groupoid_sweep)

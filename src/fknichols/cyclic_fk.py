@@ -2,31 +2,38 @@
 counterexample families, and the finite-subsystem survey.
 
 The sweep classifies each n by whether the Weyl groupoid of the full cyclic
-braiding exists.  Primes short-circuit (Cartan type).  A failing divisor
-r | n settles n by inheritance unless verification mode forces direct
+braiding exists, by one route per n.  A prime is decided by proof: its
+braiding is of Cartan type (``check_single``).  A failing divisor r | n
+settles n by inheritance unless verification mode forces direct
 recomputation.  Other composites first try the heuristic words s_j s_i s_p
-(p the smallest prime factor), up to a cap.  The start object is reflected
-in full once, to s_p(start); each word is then decided from O(r) entries of
-s_i s_p(start) instead of from whole rank-r diagrams: its labels, its row j
-and the m-row at j give the labels after s_j, and a further row is read only
-for a vertex that the word leaves with label 1.  When the capped words find
-no failure, the whole three-reflection word family is scanned at high rank,
-and a breadth-first exploration of the groupoid is the complete fallback.
-A checkpoint records the sweep parameters in its first line and resumes
-only a sweep made with the same ones.
+(p the smallest prime factor), up to a cap, on the start diagram in
+integers: vertex i has label i and edge i + j mod n.  The start object is
+reflected in full once, to s_p(start); each word is then decided from O(r)
+entries of s_i s_p(start) instead of from whole rank-r diagrams: its labels,
+its row j and the m-row at j give the labels after s_j, and a further row is
+read only for a vertex that the word leaves with label 1.  When the capped
+words find no failure, the whole three-reflection word family is scanned at
+high rank, and a breadth-first exploration of the groupoid is the complete
+fallback.  A checkpoint records the sweep parameters in its first line and
+resumes only a sweep made with the same ones.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, islice
-from math import gcd
+from math import gcd, prod
 
 from fknichols import backend, diagonal
-from fknichols._numtheory import divisors, is_prime, smallest_prime_factor, units
+from fknichols._numtheory import (
+    divisors,
+    is_prime,
+    prime_factors,
+    smallest_prime_factor,
+    units,
+)
 from fknichols.diagonal import (
     BOUND_EXCEEDED,
     EXISTS,
@@ -36,8 +43,10 @@ from fknichols.diagonal import (
     full_cyclic_braiding,
 )
 
-DEFAULT_HEURISTIC_CAP = 200
-DEFAULT_MAX_OBJECTS = 100_000
+#: Heuristic words tried before the word-family scan or the BFS fallback.
+HEURISTIC_CAP = 200
+#: Object cap of the BFS fallback (scaled down above ``_BFS_SAFE_RANK``).
+MAX_OBJECTS = 100_000
 # above this rank the complete BFS fallback stops being realistic; the
 # heuristic word family is exhausted first and the BFS object cap is scaled
 _BFS_SAFE_RANK = 24
@@ -54,7 +63,6 @@ class SweepEntry:
     inherited_from: int | None = None
     heuristic_used: bool = False
     object_count: int | None = None
-    elapsed: float = 0.0
 
     def witness_braiding(self) -> DiagonalBraiding | None:
         if self.witness_order is None:
@@ -96,31 +104,48 @@ class _ReflectedRows(dict):
         return row
 
 
+def _start_diagram(n: int) -> tuple[list[int], list[list[int]]]:
+    """(diag, edge) of the full cyclic braiding of C_n in integers mod n:
+    vertex i has label i and edge (i + j) mod n to vertex j.  These are
+    ``full_cyclic_braiding(n)._diag()`` and ``._edge_matrix()``."""
+    labels = range(1, n)
+    edge = [[(a + b) % n if a != b else 0 for b in labels] for a in labels]
+    return list(labels), edge
+
+
+def _first_reflection(n: int):
+    """(p, diag, edge, failing vertex or None) of s_p(start), for p the
+    smallest prime factor of a composite n and start the diagram of
+    ``_start_diagram``.
+
+    s_p is always defined: only a label 0 makes a Cartan entry undefined,
+    and every label 1..n-1 is nonzero mod n.
+    """
+    p = smallest_prime_factor(n)
+    diag, edge = _start_diagram(n)
+    m = backend.cartan_mrow(diag, edge, n, p - 1)
+    diag, edge = backend.reflect_diagram(diag, edge, n, p - 1, m)
+    return p, diag, edge, diagonal._state_failure_vertex(diag, edge, n)
+
+
 def _heuristic_search(n: int, cap: int):
     """Try the first cap words s_j s_i s_p, in ``_heuristic_pairs`` order, on
-    the full cyclic braiding.
+    the full cyclic braiding of a composite n.
 
     Returns (witness, failing_vertex) or None.  The witness is the shortest
     prefix of the word that reaches an object with label 1 at a connected
     vertex, and the failing vertex is the lowest such vertex.
 
-    Only the start object is reflected in full, once, to S0 = s_p(start).
-    A word is then read off a few rows: the prefix s_i is tested by
-    ``exposed_vertex`` on S0, and S1 = s_i S0 is never built.  Its labels
-    take O(r), its row j and the m-row at j another O(r), and the last
-    reflection s_j is tested by ``exposed_vertex`` on those, which reads a
-    further row of S1 only for a vertex whose new label is 1.  A diagram
-    without a failing vertex has a defined reflection at every vertex, so
-    no m-row of S0 or S1 is undefined.
+    Only the start object is reflected in full, once, to S0 = s_p(start)
+    (``_first_reflection``).  A word is then read off a few rows: the prefix
+    s_i is tested by ``exposed_vertex`` on S0, and S1 = s_i S0 is never
+    built.  Its labels take O(r), its row j and the m-row at j another O(r),
+    and the last reflection s_j is tested by ``exposed_vertex`` on those,
+    which reads a further row of S1 only for a vertex whose new label is 1.
+    A diagram without a failing vertex has a defined reflection at every
+    vertex, so no m-row of S0 or S1 is undefined.
     """
-    p = smallest_prime_factor(n)
-    braiding = full_cyclic_braiding(n)
-    diag, edge = braiding._diag(), braiding._edge_matrix()
-    m = backend.cartan_mrow(diag, edge, n, p - 1)
-    if backend.UNDEFINED in m:
-        return (), diagonal._state_failure_vertex(diag, edge, n)
-    diag, edge = backend.reflect_diagram(diag, edge, n, p - 1, m)
-    bad = diagonal._state_failure_vertex(diag, edge, n)
+    p, diag, edge, bad = _first_reflection(n)
     if bad is not None:
         return (p,), bad
     # (m-row at i of S0, labels of S1) per prefix s_i s_p; the first cap
@@ -152,21 +177,14 @@ def _scan_word_family(n: int):
     Returns (witness, failing_vertex) or None; ties go to the shortest
     witness and then the lowest reflection index.
     """
-    p = smallest_prime_factor(n)
-    r = n - 1
-    braiding = full_cyclic_braiding(n)
-    diag, edge = braiding._diag(), braiding._edge_matrix()
-
-    m = backend.cartan_mrow(diag, edge, n, p - 1)
-    diag1, edge1 = backend.reflect_diagram(diag, edge, n, p - 1, m)
-    bad = diagonal._state_failure_vertex(diag1, edge1, n)
+    p, diag1, edge1, bad = _first_reflection(n)
     if bad is not None:
         return (p,), bad
     hit = backend.scan_bad_reflection(diag1, edge1, n)
     if hit is not None:
         j, v = hit
         return (p, j + 1), v + 1
-    for i in range(1, r + 1):
+    for i in range(1, n):
         m = backend.cartan_mrow(diag1, edge1, n, i - 1)
         diag2, edge2 = backend.reflect_diagram(diag1, edge1, n, i - 1, m)
         hit = backend.scan_bad_reflection(diag2, edge2, n)
@@ -176,42 +194,43 @@ def _scan_word_family(n: int):
     return None
 
 
-def check_single(
-    n: int,
-    heuristic_first: bool = True,
-    heuristic_cap: int = DEFAULT_HEURISTIC_CAP,
-    max_objects: int = DEFAULT_MAX_OBJECTS,
-) -> SweepEntry:
-    """Direct groupoid-existence check for one n (no divisor inheritance)."""
-    start = time.perf_counter()
-    if is_prime(n):
-        braiding = full_cyclic_braiding(n)
-        if diagonal.is_cartan_type(braiding):
-            return SweepEntry(
-                n, EXISTS, heuristic_used=False, elapsed=time.perf_counter() - start
-            )
-        # unreachable for cyclic braidings of prime order; fall through
+def check_single(n: int) -> SweepEntry:
+    """Direct groupoid-existence check for one n (no divisor inheritance).
 
-    if n > 4 and heuristic_first:
-        hit = _heuristic_search(n, heuristic_cap)
-        if hit is None and n - 1 > _BFS_SAFE_RANK:
-            # a full BFS at this rank is hopeless; exhaust the whole
-            # three-reflection word family first (still deterministic)
-            hit = _scan_word_family(n)
-        if hit is not None:
-            word, vertex = hit
-            return SweepEntry(
-                n,
-                FAILS_AT,
-                witness=tuple(word),
-                failing_vertex=vertex,
-                witness_order=n,
-                witness_subset=tuple(range(1, n)),
-                heuristic_used=True,
-                elapsed=time.perf_counter() - start,
-            )
+    A prime n is decided by proof, with no braiding built.  At the start
+    object vertex i has label q_ii = zeta^i, a unit power, so ord(q_ii) = n,
+    and edge q_ij q_ji = zeta^(i+j).  So ``cartan_mrow`` gives
+    m_ij = -(i + j) * i^-1 mod n: it solves q_ii^m q_ij q_ji = 1 and is
+    below n = ord(q_ii).  The braiding is therefore of Cartan type, and a
+    braiding of Cartan type has a Weyl groupoid (Heckenberger, Invent. Math.
+    164 (2006)).  The tests replay this with ``diagonal.is_cartan_type``.
+
+    A composite n tries the heuristic words, then (above rank
+    ``_BFS_SAFE_RANK``) the whole word family, then the BFS.
+    """
+    if n < 2:
+        raise diagonal.DomainError("n must be at least 2")
+    if is_prime(n):
+        return SweepEntry(n, EXISTS)
+    hit = _heuristic_search(n, HEURISTIC_CAP)
+    if hit is None and n - 1 > _BFS_SAFE_RANK:
+        # a full BFS at this rank is hopeless; exhaust the whole
+        # three-reflection word family first (still deterministic)
+        hit = _scan_word_family(n)
+    if hit is not None:
+        word, vertex = hit
+        return SweepEntry(
+            n,
+            FAILS_AT,
+            witness=tuple(word),
+            failing_vertex=vertex,
+            witness_order=n,
+            witness_subset=tuple(range(1, n)),
+            heuristic_used=True,
+        )
 
     rank = n - 1
+    max_objects = MAX_OBJECTS
     if rank > _BFS_SAFE_RANK:
         # keep the fallback exploration memory-bounded: each object stores
         # O(rank^2) exponents, so scale the object cap down with the rank
@@ -224,14 +243,8 @@ def check_single(
         failing_vertex=result.failing_vertex,
         witness_order=n if result.status == FAILS_AT else None,
         witness_subset=tuple(range(1, n)) if result.status == FAILS_AT else None,
-        heuristic_used=False,
         object_count=len(result.objects) if result.status == EXISTS else None,
-        elapsed=time.perf_counter() - start,
     )
-
-
-def _check_single_args(args) -> SweepEntry:
-    return check_single(*args)
 
 
 class CheckpointMismatchError(ValueError):
@@ -243,16 +256,16 @@ class CheckpointMismatchError(ValueError):
 CHECKPOINT_SCHEMA = 1
 
 
-def _checkpoint_header(
-    verify: bool, heuristic_first: bool, heuristic_cap: int, max_objects: int
-) -> dict:
-    """The header line of a checkpoint: every parameter an entry depends on."""
+def _checkpoint_header(verify: bool) -> dict:
+    """The header line of a checkpoint: every parameter an entry depends on,
+    the sweep constants included, so a checkpoint made under other values
+    is refused."""
     return {
         "sweepCheckpoint": CHECKPOINT_SCHEMA,
         "verify": verify,
-        "heuristicFirst": heuristic_first,
-        "heuristicCap": heuristic_cap,
-        "maxObjects": max_objects,
+        "heuristicFirst": True,  # the heuristic words run before the BFS
+        "heuristicCap": HEURISTIC_CAP,
+        "maxObjects": MAX_OBJECTS,
     }
 
 
@@ -311,28 +324,21 @@ def _append_checkpoint(path, entry: SweepEntry) -> None:
 
 
 def sweep_groupoid_existence(
-    max_n: int,
-    heuristic_first: bool = True,
-    jobs: int = 1,
-    verify: bool = False,
-    checkpoint=None,
-    heuristic_cap: int = DEFAULT_HEURISTIC_CAP,
-    max_objects: int = DEFAULT_MAX_OBJECTS,
+    max_n: int, jobs: int = 1, verify: bool = False, checkpoint=None
 ) -> SweepReport:
     """Groupoid existence for every 2 <= n <= max_n.
 
     verify=True disables divisor inheritance (every composite is checked
     directly).  The result is independent of the worker count.  A
-    checkpoint resumes only a sweep made with the same verify,
-    heuristic_first, heuristic_cap and max_objects (``_load_checkpoint``).
+    checkpoint resumes only a sweep made with the same verify and the same
+    sweep constants (``_load_checkpoint``).
     """
     if max_n < 2:
         raise diagonal.DomainError("max_n must be at least 2")
     entries: dict[int, SweepEntry] = {}
     done: dict[int, SweepEntry] = {}
     if checkpoint:
-        header = _checkpoint_header(verify, heuristic_first, heuristic_cap, max_objects)
-        done = _load_checkpoint(checkpoint, header)
+        done = _load_checkpoint(checkpoint, _checkpoint_header(verify))
 
     def record(entry: SweepEntry, fresh: bool) -> None:
         entries[entry.n] = entry
@@ -353,7 +359,7 @@ def sweep_groupoid_existence(
                 record(done[n], fresh=False)
                 continue
             if is_prime(n):
-                # cheap Cartan-type short-circuit; never pooled
+                # decided by proof, at no cost; never pooled
                 record(check_single(n), fresh=True)
                 continue
             if not verify:
@@ -379,17 +385,14 @@ def sweep_groupoid_existence(
                             witness_order=base.witness_order,
                             witness_subset=base.witness_subset,
                             inherited_from=r,
-                            heuristic_used=False,
-                            elapsed=0.0,
                         ),
                         fresh=True,
                     )
                     continue
-            args = (n, heuristic_first, heuristic_cap, max_objects)
             if pool is None:
-                record(check_single(*args), fresh=True)
+                record(check_single(n), fresh=True)
             else:
-                pending.append((n, pool.submit(_check_single_args, args)))
+                pending.append((n, pool.submit(check_single, n)))
         flush()
     finally:
         if pool is not None:
@@ -403,19 +406,12 @@ def counterexample_family(n: int) -> list[tuple[int, int]]:
         raise diagonal.DomainError("n must be at least 2")
     out = []
     for r in divisors(n):
-        if r < 2 or n % r:
+        if r < 2:
             continue
-        quotient = n // r
-        for p in sorted(set(_prime_divisors(quotient))):
+        for p in prime_factors(n // r):
             if (2 * r - 1) % p == 0:
                 out.append((p, r))
     return sorted(out)
-
-
-def _prime_divisors(k: int) -> list[int]:
-    from fknichols._numtheory import prime_factors
-
-    return prime_factors(k)
 
 
 # ---------------------------------------------------------------------------
@@ -665,9 +661,8 @@ def enumerate_finite_subsystems(
         root_count = None
         if finite:
             root_count = len(roots)
-            dimension = 1
-            for alpha in roots:
-                dimension *= diagonal.root_label(braiding, alpha).multiplicative_order()
+            orders = diagonal.root_orders(braiding, roots)
+            dimension = prod(order for _, order in orders)
         g = gcd(n, *rep)
         first_appears = n // g
         notes: list[str] = []
@@ -708,8 +703,6 @@ def enumerate_finite_subsystems(
 
 
 def entry_to_json(entry: SweepEntry) -> dict:
-    # elapsed is deliberately not serialized: emitted reports are identical
-    # across runs and across worker counts
     return {
         "n": entry.n,
         "status": entry.status,
@@ -738,7 +731,6 @@ def _entry_from_json(d: dict) -> SweepEntry:
         inherited_from=d.get("inheritedFrom"),
         heuristic_used=d.get("heuristicUsed", False),
         object_count=d.get("objects"),
-        elapsed=d.get("elapsed", 0.0),
     )
 
 

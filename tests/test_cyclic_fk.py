@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 from _oracles import heuristic_witness
 
-from fknichols import cli
+from fknichols import backend, cli
 from fknichols import cyclic_fk as cf
 from fknichols import diagonal as dg
 from fknichols._numtheory import is_prime
@@ -50,8 +51,10 @@ def test_sweep_checkpoint_resume(tmp_path):
     path = tmp_path / "sweep.jsonl"
     cf.sweep_groupoid_existence(12, checkpoint=str(path))
     header, *first = path.read_text().strip().splitlines()
-    assert json.loads(header) == cf._checkpoint_header(
-        False, True, cf.DEFAULT_HEURISTIC_CAP, cf.DEFAULT_MAX_OBJECTS
+    # the bytes of the header a default sweep has always written
+    assert header == (
+        '{"heuristicCap": 200, "heuristicFirst": true, "maxObjects": 100000, '
+        '"sweepCheckpoint": 1, "verify": false}'
     )
     assert len(first) == 11
     report = cf.sweep_groupoid_existence(15, checkpoint=str(path))
@@ -79,8 +82,15 @@ def test_checkpoint_of_other_parameters_is_refused(tmp_path):
     # without the header check this resume reused inherited entries
     with pytest.raises(cf.CheckpointMismatchError, match="verify"):
         cf.sweep_groupoid_existence(30, verify=True, checkpoint=str(path))
-    with pytest.raises(cf.CheckpointMismatchError, match="heuristicCap"):
-        cf.sweep_groupoid_existence(30, heuristic_cap=7, checkpoint=str(path))
+    header, body = data.split(b"\n", 1)
+    for key, value in (("heuristicCap", 7), ("heuristicFirst", False)):
+        # a checkpoint written under other sweep constants
+        other = cf._json_line({**json.loads(header), key: value})
+        path.write_bytes(other.encode() + body)
+        found = re.escape(f'"{key}": {json.dumps(value)}')
+        with pytest.raises(cf.CheckpointMismatchError, match=found):
+            cf.sweep_groupoid_existence(30, checkpoint=str(path))
+    path.write_bytes(data)
     argv = ["groupoid", "sweep", "--max", "30", "--verify", "--checkpoint", str(path)]
     assert cli.main(argv) == cli.EXIT_DOMAIN
     assert path.read_bytes() == data
@@ -125,6 +135,31 @@ def test_heuristic_search_matches_the_whole_diagram_oracle(cap):
     for n in range(5, 81):
         if not is_prime(n):
             assert cf._heuristic_search(n, cap) == heuristic_witness(n, cap), n
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 201) if is_prime(p)])
+def test_prime_route_replays_its_proof(p):
+    # check_single returns EXISTS for a prime without looking: the start
+    # diagram's m-rows are -(i + j) / i mod p (and -2 at i itself), so the
+    # braiding is of Cartan type
+    assert dg.is_cartan_type(dg.full_cyclic_braiding(p))
+    diag, edge = cf._start_diagram(p)
+    for i in range(1, p):
+        expected = [-2 if j == i else -(i + j) * pow(i, -1, p) % p for j in range(1, p)]
+        assert backend.cartan_mrow(diag, edge, p, i - 1) == expected, i
+    assert cf.check_single(p).status == cf.EXISTS
+
+
+@pytest.mark.parametrize("n", [1, 0, -6])
+def test_check_single_below_two_raises(n):
+    with pytest.raises(dg.DomainError):
+        cf.check_single(n)
+
+
+def test_start_diagram_is_the_full_cyclic_braiding():
+    for n in range(2, 61):
+        braiding = dg.full_cyclic_braiding(n)
+        assert cf._start_diagram(n) == (braiding._diag(), braiding._edge_matrix()), n
 
 
 def test_counterexample_families():

@@ -1,14 +1,14 @@
-"""Exact and modular echelon bases for sparse vectors, plus small dense
-rational elimination.
+"""Exact and modular echelon bases for sparse vectors, plus the dense
+rational oracle they are tested against.
 
 The echelon classes implement incremental rank computation: vectors are
 inserted one at a time and reduced against the pivots found so far.  Exact
 vectors carry integer cyclotomic coefficients (fraction-free elimination
 with content stripping), modular vectors single residues.  Every rank in
-the package goes through them.
+the package goes through them; nothing in the package divides in Q(zeta).
 
-``rref_fraction`` and ``solve_fraction`` are dense elimination over Q; they
-invert a CyclotomicNumber and serve as test oracles.
+``rref_fraction`` is dense elimination over Q, used only by the tests as
+the oracle for the echelon ranks.
 """
 
 from __future__ import annotations
@@ -122,14 +122,6 @@ class ModularEchelon:
             idx, co = backend.combine_mod(1, idx, co, factor, pidx, pco, p)
         return False
 
-    def insert_dict(self, vec: dict[int, int]) -> bool:
-        items = sorted((k, c % self.p) for k, c in vec.items())
-        idx = [k for k, c in items if c]
-        co = [c for _, c in items if c]
-        if not idx:
-            return False
-        return self.insert(idx, co)
-
 
 def rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Q; returns (rref rows, pivot columns)."""
@@ -155,16 +147,3 @@ def rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
         if r == len(mat):
             break
     return mat[:r], pivots
-
-
-def solve_fraction(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve A x = rhs over Q; None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rref, pivots = rref_fraction(aug)
-    ncols = len(rows[0])
-    if ncols in pivots:
-        return None
-    sol = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = rref[r][ncols]
-    return sol

@@ -36,6 +36,7 @@ from fknichols._numtheory import (
 )
 from fknichols.diagonal import (
     BOUND_EXCEEDED,
+    BOUND_EXCEEDED_STATUS,
     EXISTS,
     FAILS_AT,
     DiagonalBraiding,
@@ -47,6 +48,10 @@ from fknichols.diagonal import (
 HEURISTIC_CAP = 200
 #: Object cap of the BFS fallback (scaled down above ``_BFS_SAFE_RANK``).
 MAX_OBJECTS = 100_000
+#: Bound on the root closure of each survey class.
+SURVEY_MAX_ROOTS = 400
+#: Object cap of each survey groupoid exploration.
+SURVEY_MAX_OBJECTS = 50_000
 # above this rank the complete BFS fallback stops being realistic; the
 # heuristic word family is exhausted first and the BFS object cap is scaled
 _BFS_SAFE_RANK = 24
@@ -128,9 +133,9 @@ def _first_reflection(n: int):
     return p, diag, edge, diagonal._state_failure_vertex(diag, edge, n)
 
 
-def _heuristic_search(n: int, cap: int):
+def _heuristic_search(n: int, first, cap: int):
     """Try the first cap words s_j s_i s_p, in ``_heuristic_pairs`` order, on
-    the full cyclic braiding of a composite n.
+    the full cyclic braiding of a composite n, from first = s_p(start).
 
     Returns (witness, failing_vertex) or None.  The witness is the shortest
     prefix of the word that reaches an object with label 1 at a connected
@@ -145,7 +150,7 @@ def _heuristic_search(n: int, cap: int):
     A diagram without a failing vertex has a defined reflection at every
     vertex, so no m-row of S0 or S1 is undefined.
     """
-    p, diag, edge, bad = _first_reflection(n)
+    p, diag, edge, bad = first
     if bad is not None:
         return (p,), bad
     # (m-row at i of S0, labels of S1) per prefix s_i s_p; the first cap
@@ -168,8 +173,9 @@ def _heuristic_search(n: int, cap: int):
     return None
 
 
-def _scan_word_family(n: int):
-    """Exhaust all words s_j s_i s_p at once via the single-reflection scan.
+def _scan_word_family(n: int, first):
+    """Exhaust all words s_j s_i s_p at once via the single-reflection scan,
+    from first = s_p(start), which the heuristic search found not failing.
 
     For each prefix state (after s_p, then after s_i s_p for every i) the
     kernel checks all candidate last reflections together, so covering the
@@ -177,9 +183,7 @@ def _scan_word_family(n: int):
     Returns (witness, failing_vertex) or None; ties go to the shortest
     witness and then the lowest reflection index.
     """
-    p, diag1, edge1, bad = _first_reflection(n)
-    if bad is not None:
-        return (p,), bad
+    p, diag1, edge1, _ = first
     hit = backend.scan_bad_reflection(diag1, edge1, n)
     if hit is not None:
         j, v = hit
@@ -205,18 +209,20 @@ def check_single(n: int) -> SweepEntry:
     braiding of Cartan type has a Weyl groupoid (Heckenberger, Invent. Math.
     164 (2006)).  The tests replay this with ``diagonal.is_cartan_type``.
 
-    A composite n tries the heuristic words, then (above rank
-    ``_BFS_SAFE_RANK``) the whole word family, then the BFS.
+    A composite n reflects the start object once, to s_p(start), then tries
+    the heuristic words, the whole word family (above rank
+    ``_BFS_SAFE_RANK``), and the BFS.
     """
     if n < 2:
         raise diagonal.DomainError("n must be at least 2")
     if is_prime(n):
         return SweepEntry(n, EXISTS)
-    hit = _heuristic_search(n, HEURISTIC_CAP)
+    first = _first_reflection(n)
+    hit = _heuristic_search(n, first, HEURISTIC_CAP)
     if hit is None and n - 1 > _BFS_SAFE_RANK:
         # a full BFS at this rank is hopeless; exhaust the whole
         # three-reflection word family first (still deterministic)
-        hit = _scan_word_family(n)
+        hit = _scan_word_family(n, first)
     if hit is not None:
         word, vertex = hit
         return SweepEntry(
@@ -248,8 +254,8 @@ def check_single(n: int) -> SweepEntry:
 
 
 class CheckpointMismatchError(ValueError):
-    """A sweep checkpoint written with other sweep parameters, or with no
-    header recording them."""
+    """A sweep checkpoint written with other sweep parameters, with no
+    header recording them, or with a line that is not a sweep entry."""
 
 
 #: Version of the checkpoint layout, recorded in its header line.
@@ -273,6 +279,15 @@ def _json_line(d: dict) -> str:
     return json.dumps(d, sort_keys=True) + "\n"
 
 
+def _json_object(line: str) -> dict | None:
+    """The JSON object on a line, or None if the line holds anything else."""
+    try:
+        d = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    return d if isinstance(d, dict) else None
+
+
 def _load_checkpoint(path, header: dict) -> dict[int, SweepEntry]:
     """Entries of a sweep checkpoint: a header line, then one JSON line per n.
 
@@ -284,7 +299,11 @@ def _load_checkpoint(path, header: dict) -> dict[int, SweepEntry]:
     Every line is written whole, ending in a newline, so text after the last
     newline is a write cut off mid-line: it is dropped from the file, and
     its n is recomputed; if it was the header, the sweep starts afresh.  Any
-    other corrupt line raises.
+    other line that is not a JSON object with an integer ``n`` and a status
+    of exists, failsAt or boundExceeded raises CheckpointMismatchError,
+    naming the file and the line number.  An entry of that form is trusted
+    as it stands: a false but well-formed entry is reported as the answer
+    for its n.
     """
     try:
         with open(path, "rb") as fh:
@@ -292,14 +311,14 @@ def _load_checkpoint(path, header: dict) -> dict[int, SweepEntry]:
     except FileNotFoundError:
         data = b""
     complete = data.rfind(b"\n") + 1
-    text = data[:complete].decode("utf-8")
-    lines = [line for line in text.splitlines() if line.strip()]
+    text = data[:complete].decode("utf-8", errors="replace")
+    lines = [(k, line) for k, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(_json_line(header))
         return {}
-    found = json.loads(lines[0])
-    if not isinstance(found, dict) or "sweepCheckpoint" not in found:
+    found = _json_object(lines[0][1])
+    if found is None or "sweepCheckpoint" not in found:
         raise CheckpointMismatchError(
             f"checkpoint {path} has no header line recording its sweep parameters"
         )
@@ -309,8 +328,17 @@ def _load_checkpoint(path, header: dict) -> dict[int, SweepEntry]:
             f"not {_json_line(header).strip()}"
         )
     entries: dict[int, SweepEntry] = {}
-    for line in lines[1:]:
-        d = json.loads(line)
+    for number, line in lines[1:]:
+        d = _json_object(line)
+        if (
+            d is None
+            or not isinstance(d.get("n"), int)
+            or d.get("status") not in (EXISTS, FAILS_AT, BOUND_EXCEEDED_STATUS)
+        ):
+            raise CheckpointMismatchError(
+                f"checkpoint {path} line {number} is not a sweep entry: "
+                f"{line.strip()}"
+            )
         entries[d["n"]] = _entry_from_json(d)
     if complete < len(data):
         with open(path, "r+b") as fh:
@@ -529,8 +557,6 @@ def _candidate_subsets(n, rank, pair_ok):
 def enumerate_finite_subsystems(
     n: int,
     max_rank: int,
-    max_roots: int = 400,
-    max_objects: int = 50_000,
     include_infinite: bool = False,
 ) -> list[SubsystemRecord]:
     """Connected sub-braidings of B_{C_n} with finite root systems, grouped
@@ -541,7 +567,8 @@ def enumerate_finite_subsystems(
     Weyl-groupoid reflection (one subset's diagram appears among the
     groupoid objects of the other).  Rank-1 subsets are omitted: every
     vertex trivially gives one.  A class is finite when the groupoid of its
-    smallest member exists and its root closure stays within max_roots.
+    smallest member exists and its root closure stays within
+    ``SURVEY_MAX_ROOTS``.
 
     The survey classifies classes rather than subsets, using five facts:
 
@@ -629,7 +656,7 @@ def enumerate_finite_subsystems(
                 info[subset] = (False, None)
                 continue
             exploration = diagonal.explore_groupoid(
-                cyclic_braiding(n, subset), max_objects
+                cyclic_braiding(n, subset), SURVEY_MAX_OBJECTS
             )
             linked = _linked_subsets(n, exploration.objects)
             for other in linked:
@@ -638,7 +665,7 @@ def enumerate_finite_subsystems(
             if exploration.status == EXISTS:
                 settled |= linked
             if find(subset) == subset:
-                info[subset] = _classify_subset(exploration, max_roots)
+                info[subset] = _classify_subset(exploration, SURVEY_MAX_ROOTS)
             if not include_infinite and not class_finite(subset):
                 settled |= galois
                 for other in linked:

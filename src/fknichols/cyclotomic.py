@@ -2,10 +2,11 @@
 
 Scalars produced by braidings are roots of unity and stay in the compact
 (order, exponent) form as long as possible; ``CyclotomicNumber`` provides
-the full field Q(zeta_N) once linear algebra needs sums.  ``rank`` takes the
-rank of a dense CyclotomicNumber matrix, exactly or modulo the prime of a
-``ModularSpec``; the graded-dimension calculators in ``symmetrizer`` feed
-the ``_linalg`` echelons directly instead.
+the full field Q(zeta_N) once linear algebra needs sums: a ring with no
+division, since every elimination runs in the ``_linalg`` echelons on
+integer coefficient tuples.  ``norm_cofactor`` gives the echelons an inverse
+up to a rational integer, and a ``ModularSpec`` maps Q(zeta_N) to a prime
+field.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from fknichols import _linalg
 from fknichols._kernels_py import _cyc_mul
 from fknichols._numtheory import divisors, euler_phi, is_prime, prime_factors, units
 
@@ -288,27 +288,6 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CyclotomicNumber":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = len(self.coeffs)
-        cols = [
-            (self * CyclotomicNumber.zeta_power(self.conductor, j)).coeffs
-            for j in range(phi)
-        ]
-        rows = [[cols[j][i] for j in range(phi)] for i in range(phi)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (phi - 1)
-        sol = _linalg.solve_fraction(rows, rhs)
-        if sol is None:
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        return CyclotomicNumber(self.conductor, sol)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        self._check(other)
-        return self * other.inverse()
-
     @property
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -401,58 +380,3 @@ def find_modular_spec(order: int, index: int = 0, min_prime: int = 3) -> Modular
                         return ModularSpec(q, order, z)
             found += 1
         k += 1
-
-
-def _integerize_column(column: list[CyclotomicNumber]):
-    """Clear denominators; return sparse (idx, co) integer-tuple vector."""
-    den = 1
-    for x in column:
-        for c in x.coeffs:
-            den = lcm(den, c.denominator)
-    idx, co = [], []
-    for pos, x in enumerate(column):
-        if not x.is_zero:
-            idx.append(pos)
-            co.append(tuple(int(c * den) for c in x.coeffs))
-    return idx, co
-
-
-def rank(matrix, mode: str = "exact", spec: ModularSpec | None = None) -> int:
-    """Rank of a rectangular CyclotomicNumber matrix (list of rows).
-
-    mode="exact": true rank by fraction-free elimination.
-    mode="modular": rank of the image mod spec.prime (a lower bound equal
-    to the true rank away from finitely many bad primes); spec defaults to
-    the first usable prime for the conductor.
-    """
-    rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
-        return 0
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("matrix is not rectangular")
-    conductor = rows[0][0].conductor
-    for r in rows:
-        for x in r:
-            if x.conductor != conductor:
-                raise ConductorMismatchError("matrix entries mix conductors")
-    if mode == "exact":
-        ech = _linalg.ExactEchelon(conductor)
-        for j in range(width):
-            idx, co = _integerize_column([rows[i][j] for i in range(len(rows))])
-            if idx:
-                ech.insert(idx, co)
-        return ech.rank
-    if mode == "modular":
-        if spec is None:
-            spec = find_modular_spec(conductor)
-        elif spec.order != conductor:
-            raise BadModularSpecError(
-                f"spec order {spec.order} does not match conductor {conductor}"
-            )
-        ech = _linalg.ModularEchelon(spec.prime)
-        for j in range(width):
-            vec = {i: spec.reduce(rows[i][j]) for i in range(len(rows))}
-            ech.insert_dict(vec)
-        return ech.rank
-    raise ValueError(f"unknown mode {mode!r}")

@@ -604,14 +604,12 @@ def positive_roots(exploration: ExplorationResult, max_roots: int = 10_000):
     )
 
 
-def enumerate_positive_roots(
-    braiding: DiagonalBraiding, max_roots: int = 10_000, max_objects: int = 100_000
-):
+def enumerate_positive_roots(braiding: DiagonalBraiding, max_roots: int = 10_000):
     """Positive roots of the arithmetic root system, or BOUND_EXCEEDED.
 
     Raises RootSystemUndefinedError when the groupoid fails to exist.
     """
-    return positive_roots(explore_groupoid(braiding, max_objects), max_roots)
+    return positive_roots(explore_groupoid(braiding), max_roots)
 
 
 def root_label(braiding: DiagonalBraiding, alpha) -> RootOfUnity:
@@ -638,9 +636,7 @@ def root_orders(braiding: DiagonalBraiding, roots) -> list[tuple[tuple[int, ...]
     return out
 
 
-def pbw_dimension(
-    braiding: DiagonalBraiding, max_roots: int = 10_000, max_objects: int = 100_000
-):
+def pbw_dimension(braiding: DiagonalBraiding, max_roots: int = 10_000):
     """Product of ord(q_alpha) over positive roots; INFINITE when the root
     system is infinite or the root closure exceeds its bounds.
 
@@ -652,21 +648,18 @@ def pbw_dimension(
     Raises UndefinedDimensionError if a positive root has label 1, and
     RootSystemUndefinedError when the groupoid does not exist.
     """
-    roots = enumerate_positive_roots(braiding, max_roots, max_objects)
+    roots = enumerate_positive_roots(braiding, max_roots)
     if roots is BOUND_EXCEEDED:
         return INFINITE
     return prod(order for _, order in root_orders(braiding, roots))
 
 
 def pbw_hilbert_series(
-    braiding: DiagonalBraiding,
-    max_degree: int,
-    max_roots: int = 10_000,
-    max_objects: int = 100_000,
+    braiding: DiagonalBraiding, max_degree: int, max_roots: int = 10_000
 ) -> list[int]:
     """Coefficients (degrees 0..max_degree) of prod over positive roots of
     (1 + t^ht + ... + t^((N_alpha - 1) ht)), ht = coordinate sum."""
-    roots = enumerate_positive_roots(braiding, max_roots, max_objects)
+    roots = enumerate_positive_roots(braiding, max_roots)
     if roots is BOUND_EXCEEDED:
         raise RootSystemUndefinedError("root system is not finite")
     series = [0] * (max_degree + 1)
@@ -685,12 +678,12 @@ def pbw_hilbert_series(
     return series
 
 
-def pbw_top_degree(braiding: DiagonalBraiding, **bounds) -> int:
+def pbw_top_degree(braiding: DiagonalBraiding) -> int:
     """Top degree of the PBW Hilbert series (finite case).
 
     Raises UndefinedDimensionError if a positive root has label 1.
     """
-    roots = enumerate_positive_roots(braiding, **bounds)
+    roots = enumerate_positive_roots(braiding)
     if roots is BOUND_EXCEEDED:
         raise RootSystemUndefinedError("root system is not finite")
     return sum((order - 1) * sum(alpha) for alpha, order in root_orders(braiding, roots))

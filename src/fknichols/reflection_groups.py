@@ -252,26 +252,33 @@ def _dual_action(params: GroupParams, g: GroupElement, covector):
     return tuple(sorted((i, c) for i, c in out.items() if not c.is_zero))
 
 
-def _recognize_root_of_unity(params: GroupParams, value: CyclotomicNumber) -> RootOfUnity:
+def _zeta_exponent(params: GroupParams, value: CyclotomicNumber) -> int:
+    """The e with value = zeta_L^e."""
     L = params.scalar_order
     for e in range(L):
         if value == CyclotomicNumber.zeta_power(L, e):
-            return RootOfUnity(L, e)
-    raise AssertionError(f"lambda scalar {value!r} is not a root of unity (bug)")
+            return e
+    raise AssertionError(f"coroot entry {value!r} is not a root of unity (bug)")
 
 
 def lambda_scalar(params: GroupParams, g: GroupElement, s: Reflection) -> RootOfUnity:
-    """The cocycle scalar in g . coroot(s) = lambda(g, s) coroot(g s g^-1)."""
+    """The cocycle scalar in g . coroot(s) = lambda(g, s) coroot(g s g^-1).
+
+    Every coroot entry and its image is +-theta^k, a power of zeta_L, so
+    lambda is read off the exponents of the leading entries, with no
+    division, and checked on every entry."""
     target = conjugate_reflection(params, g, s)
     moved = _dual_action(params, g, root_coroot(params, s).coroot)
     expected = root_coroot(params, target).coroot
     if [i for i, _ in moved] != [i for i, _ in expected]:
         raise AssertionError("coroot image has wrong support (bug)")
-    ratio = moved[0][1] / expected[0][1]
+    L = params.scalar_order
+    e = _zeta_exponent(params, moved[0][1]) - _zeta_exponent(params, expected[0][1])
+    ratio = CyclotomicNumber.zeta_power(L, e)
     for (_, a), (_, b) in zip(moved, expected):
         if a != b * ratio:
             raise AssertionError("coroot image is not proportional (bug)")
-    return _recognize_root_of_unity(params, ratio)
+    return RootOfUnity(L, e)
 
 
 # ---------------------------------------------------------------------------

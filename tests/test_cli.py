@@ -141,6 +141,21 @@ def test_sweep_checkpoint_resume(tmp_path, capsys):
     assert open(path).read().strip().splitlines() == lines
 
 
+def test_sweep_refuses_a_checkpoint_entry_with_a_bogus_status(tmp_path, capsys):
+    path = tmp_path / "ck.jsonl"
+    code, _, _ = run_cli(capsys, "groupoid", "sweep", "--max", "3", "--checkpoint", str(path))
+    assert code == 0
+    header = path.read_text().splitlines()[0]
+    path.write_text(header + '\n{"n": 4, "status": "bogus"}\n')
+    code, out, err = run_cli(
+        capsys, "groupoid", "sweep", "--max", "12", "--checkpoint", str(path)
+    )
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith(f"error: checkpoint {path} line 2 ")
+    assert "bogus" in err
+
+
 def test_jobs_env_default(monkeypatch):
     monkeypatch.setenv("FKNICHOLS_JOBS", "3")
     args = cli.build_parser().parse_args(["groupoid", "sweep", "--max", "5"])

@@ -124,8 +124,30 @@ def test_corrupt_checkpoint_line_before_the_last_raises(tmp_path):
     lines = path.read_text().splitlines(keepends=True)
     lines[3] = lines[3][: len(lines[3]) // 2] + "\n"
     path.write_text("".join(lines))
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(cf.CheckpointMismatchError, match="line 4 "):
         cf.sweep_groupoid_existence(12, checkpoint=str(path))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "not json",
+        "[4, 5]",
+        '{"status": "exists"}',
+        '{"n": "4", "status": "exists"}',
+        '{"n": 4}',
+        '{"n": 4, "status": "bogus"}',
+    ],
+)
+def test_malformed_checkpoint_entry_is_refused(tmp_path, bad):
+    path = tmp_path / "sweep.jsonl"
+    cf.sweep_groupoid_existence(12, checkpoint=str(path))
+    header, body = path.read_text().split("\n", 1)
+    data = f"{header}\n{bad}\n{body}"
+    path.write_text(data)
+    with pytest.raises(cf.CheckpointMismatchError, match=f"{re.escape(str(path))} line 2 "):
+        cf.sweep_groupoid_existence(12, checkpoint=str(path))
+    assert path.read_text() == data
 
 
 @pytest.mark.parametrize("cap", [200, 13, 12])
@@ -134,7 +156,8 @@ def test_heuristic_search_matches_the_whole_diagram_oracle(cap):
     # window: cap 13 cuts that window after it, cap 12 leaves them no witness
     for n in range(5, 81):
         if not is_prime(n):
-            assert cf._heuristic_search(n, cap) == heuristic_witness(n, cap), n
+            found = cf._heuristic_search(n, cf._first_reflection(n), cap)
+            assert found == heuristic_witness(n, cap), n
 
 
 @pytest.mark.parametrize("p", [p for p in range(2, 201) if is_prime(p)])

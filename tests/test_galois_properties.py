@@ -38,12 +38,12 @@ def _outcome(fn, *args):
 
 
 def _root_count(braiding):
-    roots = dg.enumerate_positive_roots(braiding, MAX_ROOTS, MAX_OBJECTS)
+    roots = dg.enumerate_positive_roots(braiding, MAX_ROOTS)
     return roots if roots is dg.BOUND_EXCEEDED else len(roots)
 
 
 def _pbw(braiding):
-    return dg.pbw_dimension(braiding, MAX_ROOTS, MAX_OBJECTS)
+    return dg.pbw_dimension(braiding, MAX_ROOTS)
 
 
 def _finite(n, subset):

@@ -446,6 +446,22 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         result = args.handler(args)
+        if len(result) == 4:
+            payload, lines, csv_rows, exit_code = result
+        else:
+            payload, lines, csv_rows = result
+            exit_code = EXIT_OK
+        if args.format == "json":
+            text = render_json(payload)
+        elif args.format == "csv":
+            text = render_csv(csv_rows)
+        else:
+            text = "\n".join(lines) + "\n"
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except symmetrizer.ResourceBudgetError as exc:
         sys.stderr.write(f"resource budget exceeded: {exc}\n")
         return EXIT_RESOURCE
@@ -457,25 +473,10 @@ def main(argv=None) -> int:
         ConductorMismatchError,
         BadModularSpecError,
         cyclic_fk.CheckpointMismatchError,
+        OSError,  # an unusable --output or --checkpoint path
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
-    if len(result) == 4:
-        payload, lines, csv_rows, exit_code = result
-    else:
-        payload, lines, csv_rows = result
-        exit_code = EXIT_OK
-    if args.format == "json":
-        text = render_json(payload)
-    elif args.format == "csv":
-        text = render_csv(csv_rows)
-    else:
-        text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return exit_code
 
 

@@ -288,6 +288,29 @@ def _json_object(line: str) -> dict | None:
     return d if isinstance(d, dict) else None
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_entry(d: dict | None) -> bool:
+    """Whether d has the fields of an ``entry_to_json`` line, each of its
+    type: a missing optional field reads as None (heuristicUsed as False)."""
+    return (
+        d is not None
+        and _is_int(d.get("n"))
+        and d.get("status") in (EXISTS, FAILS_AT, BOUND_EXCEEDED_STATUS)
+        and isinstance(d.get("heuristicUsed", False), bool)
+        and all(
+            d.get(k) is None or _is_int(d[k])
+            for k in ("failingVertex", "witnessOrder", "inheritedFrom", "objects")
+        )
+        and all(
+            d.get(k) is None or (isinstance(d[k], list) and all(map(_is_int, d[k])))
+            for k in ("witness", "witnessSubset")
+        )
+    )
+
+
 def _load_checkpoint(path, header: dict) -> dict[int, SweepEntry]:
     """Entries of a sweep checkpoint: a header line, then one JSON line per n.
 
@@ -299,11 +322,11 @@ def _load_checkpoint(path, header: dict) -> dict[int, SweepEntry]:
     Every line is written whole, ending in a newline, so text after the last
     newline is a write cut off mid-line: it is dropped from the file, and
     its n is recomputed; if it was the header, the sweep starts afresh.  Any
-    other line that is not a JSON object with an integer ``n`` and a status
-    of exists, failsAt or boundExceeded raises CheckpointMismatchError,
-    naming the file and the line number.  An entry of that form is trusted
-    as it stands: a false but well-formed entry is reported as the answer
-    for its n.
+    other line that is not a JSON object with an integer ``n``, a status of
+    exists, failsAt or boundExceeded, and fields of the types that
+    ``entry_to_json`` writes raises CheckpointMismatchError, naming the file
+    and the line number.  An entry of that form is trusted as it stands: a
+    false but well-formed entry is reported as the answer for its n.
     """
     try:
         with open(path, "rb") as fh:
@@ -330,11 +353,7 @@ def _load_checkpoint(path, header: dict) -> dict[int, SweepEntry]:
     entries: dict[int, SweepEntry] = {}
     for number, line in lines[1:]:
         d = _json_object(line)
-        if (
-            d is None
-            or not isinstance(d.get("n"), int)
-            or d.get("status") not in (EXISTS, FAILS_AT, BOUND_EXCEEDED_STATUS)
-        ):
+        if not _is_entry(d):
             raise CheckpointMismatchError(
                 f"checkpoint {path} line {number} is not a sweep entry: "
                 f"{line.strip()}"
@@ -482,7 +501,7 @@ class SubsystemRecord:
     n: int
     representative: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
-    diagram: diagonal.GeneralizedDynkinDiagram
+    diagram: diagonal.GroupoidObject
     cartan_type: bool
     finite: bool
     positive_root_count: int | None
@@ -713,7 +732,7 @@ def enumerate_finite_subsystems(
                 n=n,
                 representative=rep,
                 members=members,
-                diagram=diagonal.dynkin_diagram(braiding),
+                diagram=diagonal.canonical_object(braiding),
                 cartan_type=diagonal.is_cartan_type(braiding),
                 finite=finite,
                 positive_root_count=root_count,

@@ -1,16 +1,20 @@
-"""Diagonal braidings: generalized Dynkin diagrams, Cartan entries,
-Weyl-groupoid reflections and exploration, root enumeration, and PBW data.
+"""Diagonal braidings: Weyl-groupoid reflections and exploration, Cartan
+matrices, root enumeration, and PBW data.
 
 Vertices are numbered 1..rank in the public API, matching the reflection
 words s_1, s_2, ... used throughout.  A braiding stores the exponent matrix
 b with q_ij = zeta_N^(b_ij); everything the groupoid needs reduces to
-integer arithmetic mod N.
+integer arithmetic mod N.  The generalized Dynkin diagram of a braiding,
+vertex labels q_ii and edge labels q_ij q_ji, is its ``GroupoidObject``
+(``canonical_object``): the object of the Weyl groupoid and the key of its
+exploration.  ``cartan_matrix`` gives the Cartan matrix as a tuple of rows.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd, prod
 
 from fknichols import backend
@@ -117,74 +121,10 @@ def full_cyclic_braiding(n: int) -> DiagonalBraiding:
 
 
 @dataclass(frozen=True)
-class GeneralizedDynkinDiagram:
-    """Vertex labels q_ii and edge labels q_ij q_ji (edges only when != 1)."""
-
-    order: int
-    vertex_exponents: tuple[int, ...]
-    edge_exponents: tuple[tuple[int, int, int], ...]  # (i, j, exponent), i < j
-
-    def vertex_labels(self) -> list[RootOfUnity]:
-        return [RootOfUnity(self.order, e) for e in self.vertex_exponents]
-
-    def edge_labels(self) -> dict[tuple[int, int], RootOfUnity]:
-        return {
-            (i, j): RootOfUnity(self.order, e) for i, j, e in self.edge_exponents
-        }
-
-    @property
-    def rank(self) -> int:
-        return len(self.vertex_exponents)
-
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b, _ in self.edge_exponents:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
-
-    def connected_components(self) -> list[frozenset[int]]:
-        seen: set[int] = set()
-        comps = []
-        for start in range(1, self.rank + 1):
-            if start in seen:
-                continue
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for w in self.neighbors(v):
-                    if w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
-
-    @property
-    def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
-
-
-def dynkin_diagram(braiding: DiagonalBraiding) -> GeneralizedDynkinDiagram:
-    n = braiding.order
-    r = braiding.rank
-    b = braiding.exponents
-    vertices = tuple(b[i][i] for i in range(r))
-    edges = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            e = (b[i][j] + b[j][i]) % n
-            if e:
-                edges.append((i + 1, j + 1, e))
-    return GeneralizedDynkinDiagram(n, vertices, tuple(edges))
-
-
-@dataclass(frozen=True)
 class GroupoidObject:
-    """Twist-equivalence canonical form: vertex and symmetrized edge exponents."""
+    """Generalized Dynkin diagram, the twist-equivalence canonical form of a
+    braiding: the exponents of the vertex labels q_ii and of the edge labels
+    q_ij q_ji (an exponent 0 is no edge)."""
 
     order: int
     vertices: tuple[int, ...]
@@ -203,15 +143,6 @@ class GroupoidObject:
         pos = a * (2 * r - a - 1) // 2 + (b - a - 1)
         return self.edges[pos]
 
-    def diagram(self) -> GeneralizedDynkinDiagram:
-        edges = []
-        for i in range(1, self.rank + 1):
-            for j in range(i + 1, self.rank + 1):
-                e = self.edge(i, j)
-                if e:
-                    edges.append((i, j, e))
-        return GeneralizedDynkinDiagram(self.order, self.vertices, tuple(edges))
-
 
 def _pack_state(diag: list[int], edge: list[list[int]]) -> tuple:
     r = len(diag)
@@ -227,53 +158,22 @@ def canonical_object(braiding: DiagonalBraiding) -> GroupoidObject:
     return GroupoidObject(braiding.order, diag, flat)
 
 
-@dataclass(frozen=True)
-class CartanData:
-    """Integer Cartan entries with a per-entry definedness mask."""
-
-    entries: tuple[tuple[int, ...], ...]
-    defined: tuple[tuple[bool, ...], ...]
-
-    @property
-    def all_defined(self) -> bool:
-        return all(all(row) for row in self.defined)
-
-
 def _mrow(braiding: DiagonalBraiding, i: int) -> list[int]:
     return backend.cartan_mrow(
         braiding._diag(), braiding._edge_matrix(), braiding.order, i - 1
     )
 
 
-def cartan_entry(braiding: DiagonalBraiding, i: int, j: int):
-    """a_ij, or None when undefined (q_ii = 1 with q_ij q_ji != 1)."""
-    if i == j:
-        return 2
-    m = _mrow(braiding, i)[j - 1]
-    return None if m == backend.UNDEFINED else -m
-
-
-def cartan_matrix(braiding: DiagonalBraiding) -> CartanData:
-    r = braiding.rank
-    entries = []
-    defined = []
-    for i in range(1, r + 1):
-        m = _mrow(braiding, i)
-        row = []
-        drow = []
-        for j in range(1, r + 1):
-            if i == j:
-                row.append(2)
-                drow.append(True)
-            elif m[j - 1] == backend.UNDEFINED:
-                row.append(0)
-                drow.append(False)
-            else:
-                row.append(-m[j - 1])
-                drow.append(True)
-        entries.append(tuple(row))
-        defined.append(tuple(drow))
-    return CartanData(tuple(entries), tuple(defined))
+def cartan_matrix(braiding: DiagonalBraiding) -> tuple[tuple[int | None, ...], ...]:
+    """Rows of the Cartan matrix: a_ii = 2, a_ij = -m_ij, and None where
+    a_ij is undefined (q_ii = 1 with q_ij q_ji != 1)."""
+    return tuple(
+        tuple(
+            2 if j == i else None if m == backend.UNDEFINED else -m
+            for j, m in enumerate(_mrow(braiding, i + 1))
+        )
+        for i in range(braiding.rank)
+    )
 
 
 def is_cartan_type(braiding: DiagonalBraiding) -> bool:
@@ -703,16 +603,15 @@ def braiding_from_json(data: dict) -> DiagonalBraiding:
     return DiagonalBraiding(data["order"], tuple(tuple(r) for r in data["exponents"]))
 
 
-def diagram_to_json(diagram: GeneralizedDynkinDiagram) -> dict:
+def diagram_to_json(obj: GroupoidObject) -> dict:
+    """Vertex exponents, and [i, j, exponent] for each edge i < j whose
+    label q_ij q_ji is not 1."""
+    pairs = combinations(range(1, obj.rank + 1), 2)
     return {
-        "order": diagram.order,
-        "vertices": list(diagram.vertex_exponents),
-        "edges": [[i, j, e] for i, j, e in diagram.edge_exponents],
+        "order": obj.order,
+        "vertices": list(obj.vertices),
+        "edges": [[i, j, e] for (i, j), e in zip(pairs, obj.edges) if e],
     }
-
-
-def object_to_json(obj: GroupoidObject) -> dict:
-    return diagram_to_json(obj.diagram())
 
 
 def exploration_to_json(result: ExplorationResult) -> dict:
@@ -721,5 +620,5 @@ def exploration_to_json(result: ExplorationResult) -> dict:
         "witness": list(result.witness) if result.witness is not None else None,
         "failingVertex": result.failing_vertex,
         "morphismCount": result.morphism_count,
-        "objects": [object_to_json(o) for o in result.objects],
+        "objects": [diagram_to_json(o) for o in result.objects],
     }

@@ -235,7 +235,7 @@ LAMBDA_CASES = (
 # nothing from fknichols: q = zeta_n^e is represented by its exponent e.
 
 
-def _cartan_entry(n: int, q: int, r: int) -> int | None:
+def _cartan_m(n: int, q: int, r: int) -> int | None:
     """Least m >= 0 with q^m r = 1 or (m+1)_q = 0 (so a_ij = -m), or None
     when there is none.  (m+1)_q = 0 exactly when q != 1 and q^(m+1) = 1."""
     for m in range(n):
@@ -250,7 +250,7 @@ def _reflect_rank2(n: int, obj, w, i: int):
     None when the Cartan entry is undefined."""
     x, r, z = obj
     q, p = (x, z) if i == 0 else (z, x)
-    m = _cartan_entry(n, q, r)
+    m = _cartan_m(n, q, r)
     if m is None:
         return None
     p = (p + m * r + m * m * q) % n  # q'_jj = q_jj r^m q_ii^(m^2)
@@ -318,7 +318,7 @@ def reflect_full(n: int, obj, i: int):
     """
     d, e = obj
     r = len(d)
-    m = [0 if k == i else _cartan_entry(n, d[i], e[i][k]) for k in range(r)]
+    m = [0 if k == i else _cartan_m(n, d[i], e[i][k]) for k in range(r)]
     if None in m:
         return None
     u = [0 if k == i else 1 for k in range(r)]

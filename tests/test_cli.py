@@ -156,6 +156,38 @@ def test_sweep_refuses_a_checkpoint_entry_with_a_bogus_status(tmp_path, capsys):
     assert "bogus" in err
 
 
+def test_sweep_refuses_a_checkpoint_entry_with_a_wrongly_typed_field(tmp_path, capsys):
+    path = tmp_path / "ck.jsonl"
+    code, _, _ = run_cli(capsys, "groupoid", "sweep", "--max", "3", "--checkpoint", str(path))
+    assert code == 0
+    header = path.read_text().splitlines()[0]
+    path.write_text(header + '\n{"n": 4, "status": "failsAt", "witness": 5}\n')
+    code, out, err = run_cli(
+        capsys, "groupoid", "sweep", "--max", "6", "--checkpoint", str(path)
+    )
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith(f"error: checkpoint {path} line 2 ")
+
+
+def test_output_path_that_is_a_directory_is_an_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "groupoid", "check", "4", "--output", str(tmp_path))
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_checkpoint_in_a_missing_directory_is_an_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "ck.jsonl"
+    code, out, err = run_cli(
+        capsys, "groupoid", "sweep", "--max", "3", "--checkpoint", str(path)
+    )
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert not path.parent.exists()
+
+
 def test_jobs_env_default(monkeypatch):
     monkeypatch.setenv("FKNICHOLS_JOBS", "3")
     args = cli.build_parser().parse_args(["groupoid", "sweep", "--max", "5"])

@@ -137,6 +137,16 @@ def test_corrupt_checkpoint_line_before_the_last_raises(tmp_path):
         '{"n": "4", "status": "exists"}',
         '{"n": 4}',
         '{"n": 4, "status": "bogus"}',
+        '{"n": true, "status": "exists"}',
+        '{"n": 4, "status": "failsAt", "witness": 5}',
+        '{"n": 4, "status": "failsAt", "witness": "abc"}',
+        '{"n": 4, "status": "failsAt", "witness": [1, "2"]}',
+        '{"n": 4, "status": "failsAt", "witnessSubset": {"1": 2}}',
+        '{"n": 4, "status": "failsAt", "failingVertex": "1"}',
+        '{"n": 4, "status": "failsAt", "witnessOrder": 4.0}',
+        '{"n": 4, "status": "failsAt", "inheritedFrom": [2]}',
+        '{"n": 4, "status": "exists", "objects": [1]}',
+        '{"n": 4, "status": "exists", "heuristicUsed": 1}',
     ],
 )
 def test_malformed_checkpoint_entry_is_refused(tmp_path, bad):

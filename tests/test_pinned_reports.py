@@ -11,7 +11,9 @@ for byte:
   on subsets whose groupoid fails or whose root closure exceeds its bound;
 * ``groupoid check``, covering EXISTS, FAILS_AT and BOUND_EXCEEDED
   (``--max-objects 5``), whose morphism count includes the objects a
-  stopped exploration never expanded;
+  stopped exploration never expanded, and diagrams without edges (n = 3,
+  and the rank-one subset {2} of n = 5; these two digests were taken while
+  a separate diagram type, built from the groupoid object, wrote the JSON);
 * ``groupoid sweep --max 200``, whose composites are settled by a divisor,
   the heuristic words or the whole three-reflection word family;
 * ``groupoid sweep --max 100 --verify``, which sends every composite up to
@@ -51,6 +53,8 @@ import pytest
 from fknichols import cli, diagonal, reflection_groups, symmetrizer
 
 CHECK_DIGESTS = {
+    "3": "7682a4b7357d1370a88ca8ba81222e2cea9a0898342e0f05bab2ebc4f6ea130a",
+    "5 --subset 2": "fa5ece09a8e701dc04089cae503a885c59f60a7947ee3d79cef8fa262d1f3daa",
     "4": "6675e8d8b316d7d96263cb7d62494f1c8ba2c38ce3dfa267385d228c810efae3",
     "5": "90c90969dfef2ee39132d079e831be017d6502803b68e64afc946176713d6628",
     "6": "ebfd3bdc99a852eb921cd76264a86b9d673ac535e5aa028ffe5360e689ee872c",

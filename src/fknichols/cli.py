@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from functools import lru_cache
 
@@ -31,14 +30,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("FKNICHOLS_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def _parse_subset(text: str) -> tuple[int, ...]:
@@ -74,14 +65,19 @@ def _max_degree(args, least: int = 0) -> int:
     return args.max_degree
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def _int_at_least(least: int):
+    """An argparse type: an integer no smaller than least."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
 
 
 def _mode_args(args) -> dict:
@@ -327,7 +323,7 @@ def _add_hilbert_args(p):
     mode.add_argument("--modular", action="store_true")
     p.add_argument(
         "--budget",
-        type=_nonnegative_int,
+        type=_int_at_least(0),
         default=symmetrizer.DEFAULT_BLOCK_BUDGET,
         help="largest block, in basis tensors of one multidegree, that the "
         "elimination may meet (default %(default)s); doubled under --modular",
@@ -351,7 +347,7 @@ def build_parser() -> _Parser:
     check.set_defaults(handler=_cmd_groupoid_check)
     sweep = gsub.add_parser("sweep", parents=[common])
     sweep.add_argument("--max", type=int, required=True)
-    sweep.add_argument("--jobs", type=int, default=_default_jobs())
+    sweep.add_argument("--jobs", type=_int_at_least(1), default=1)
     sweep.add_argument("--verify", action="store_true")
     sweep.add_argument("--checkpoint")
     sweep.add_argument("--expect-conjecture", action="store_true")
@@ -431,15 +427,15 @@ def render_csv(rows) -> str:
     return buf.getvalue()
 
 
-@lru_cache(maxsize=4)
-def _parser_for(jobs_env: str | None) -> _Parser:
-    """``build_parser()`` built once per value of FKNICHOLS_JOBS, the one
-    input it reads (the ``--jobs`` default); ``parse_args`` keeps no state."""
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """``build_parser()``, built once per process; ``parse_args`` keeps no
+    state."""
     return build_parser()
 
 
 def main(argv=None) -> int:
-    parser = _parser_for(os.environ.get("FKNICHOLS_JOBS"))
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -21,6 +21,7 @@ resumes only a sweep made with the same ones.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, islice
@@ -376,12 +377,16 @@ def sweep_groupoid_existence(
     """Groupoid existence for every 2 <= n <= max_n.
 
     verify=True disables divisor inheritance (every composite is checked
-    directly).  The result is independent of the worker count.  A
+    directly).  The result is independent of the worker count: jobs must
+    be at least 1, and at most ``os.cpu_count()`` worker processes start.  A
     checkpoint resumes only a sweep made with the same verify and the same
     sweep constants (``_load_checkpoint``).
     """
     if max_n < 2:
         raise diagonal.DomainError("max_n must be at least 2")
+    if jobs < 1:
+        raise diagonal.DomainError(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs, os.cpu_count() or 1)
     entries: dict[int, SweepEntry] = {}
     done: dict[int, SweepEntry] = {}
     if checkpoint:
@@ -392,7 +397,7 @@ def sweep_groupoid_existence(
         if checkpoint and fresh:
             _append_checkpoint(checkpoint, entry)
 
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     pending: list = []  # (n, future) in ascending n order
 
     def flush(upto: int | None = None) -> None:

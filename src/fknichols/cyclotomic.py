@@ -2,18 +2,18 @@
 
 Scalars produced by braidings are roots of unity and stay in the compact
 (order, exponent) form as long as possible; ``CyclotomicNumber`` provides
-the full field Q(zeta_N) once linear algebra needs sums: a ring with no
-division, since every elimination runs in the ``_linalg`` echelons on
-integer coefficient tuples.  ``norm_cofactor`` gives the echelons an inverse
-up to a rational integer, and a ``ModularSpec`` maps Q(zeta_N) to a prime
-field.
+the ring Z[zeta_N], with integer coefficients, once linear algebra needs
+sums.  Nothing divides in it: every elimination runs in the ``_linalg``
+echelons on integer coefficient tuples.  ``norm_cofactor`` gives the
+echelons an inverse up to a rational integer, and a ``ModularSpec`` maps
+Z[zeta_N] to a prime field.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -208,13 +208,13 @@ def root_mul(a: RootOfUnity, b: RootOfUnity) -> RootOfUnity:
 
 
 class CyclotomicNumber:
-    """Element of Q(zeta_n): rational coefficients on 1, zeta, ..., zeta^(phi-1)."""
+    """Element of Z[zeta_n]: integer coefficients on 1, zeta, ..., zeta^(phi-1)."""
 
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs):
         phi = euler_phi(conductor)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(operator.index(c) for c in coeffs)
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coefficients for conductor {conductor}")
         self.conductor = conductor
@@ -230,8 +230,8 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, conductor: int, value) -> "CyclotomicNumber":
-        coeffs = [Fraction(0)] * euler_phi(conductor)
-        coeffs[0] = Fraction(value)
+        coeffs = [0] * euler_phi(conductor)
+        coeffs[0] = value
         return cls(conductor, coeffs)
 
     @classmethod
@@ -245,8 +245,10 @@ class CyclotomicNumber:
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = CyclotomicNumber.from_rational(self.conductor, other)
+        elif not isinstance(other, CyclotomicNumber):
+            return NotImplemented
         self._check(other)
         return CyclotomicNumber(
             self.conductor, [a + b for a, b in zip(self.coeffs, other.coeffs)]
@@ -258,19 +260,19 @@ class CyclotomicNumber:
         return CyclotomicNumber(self.conductor, [-a for a in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-Fraction(other))
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return CyclotomicNumber(self.conductor, [a * other for a in self.coeffs])
+        if not isinstance(other, CyclotomicNumber):
+            return NotImplemented
         self._check(other)
         phi = len(self.coeffs)
-        conv = [Fraction(0)] * (2 * phi - 1)
+        conv = [0] * (2 * phi - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -293,7 +295,7 @@ class CyclotomicNumber:
         return not any(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = CyclotomicNumber.from_rational(self.conductor, other)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
@@ -346,7 +348,7 @@ class ModularSpec:
         return out
 
     def reduce(self, x: CyclotomicNumber) -> int:
-        """Image of x in F_prime; raises on a denominator divisible by prime."""
+        """Image of x in F_prime."""
         if x.conductor != self.order:
             raise ConductorMismatchError(
                 f"spec has order {self.order}, value conductor {x.conductor}"
@@ -355,11 +357,7 @@ class ModularSpec:
         acc = 0
         zpow = 1
         for c in x.coeffs:
-            if c:
-                den = c.denominator % q
-                if den == 0:
-                    raise BadModularSpecError("denominator vanishes mod prime")
-                acc += c.numerator * pow(den, -1, q) * zpow
+            acc += c * zpow
             zpow = zpow * self.zeta_image % q
         return acc % q
 

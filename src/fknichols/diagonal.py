@@ -592,17 +592,6 @@ def pbw_top_degree(braiding: DiagonalBraiding) -> int:
 # ---------------------------------------------------------------------------
 # JSON serialization (documented schema keys)
 
-def braiding_to_json(braiding: DiagonalBraiding) -> dict:
-    return {
-        "order": braiding.order,
-        "exponents": [list(row) for row in braiding.exponents],
-    }
-
-
-def braiding_from_json(data: dict) -> DiagonalBraiding:
-    return DiagonalBraiding(data["order"], tuple(tuple(r) for r in data["exponents"]))
-
-
 def diagram_to_json(obj: GroupoidObject) -> dict:
     """Vertex exponents, and [i, j, exponent] for each edge i < j whose
     label q_ij q_ji is not 1."""

@@ -320,9 +320,6 @@ class YDModule:
     def scalar_order(self) -> int:
         return self.params.scalar_order
 
-    def index(self, s: Reflection) -> int:
-        return self.basis.index(s)
-
     def braid(self, a: int, b: int) -> tuple[int, int, int]:
         """Psi(r_a ox r_b) = zeta_L^e r_c ox r_a: returns (c, a, e)."""
         return self.braid_targets[a][b], a, self.braid_exponents[a][b]

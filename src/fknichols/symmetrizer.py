@@ -7,6 +7,10 @@ for group braidings, the total group degree).  The production route builds
 the column space level by level through the coset factorization
 S_d = T_d (S_(d-1) ox Id) with T_d = sum of the d staircase lifts; the
 direct sum-over-permutations route is kept as an independent oracle.
+Psi acts on V^(ox d) through one sparse operator, ``_apply_psi_sparse``:
+the calculators, the direct oracle and ``yang_baxter_holds`` all apply it,
+with coefficients that are integer tuples in Z[zeta_L] or residues mod a
+prime.
 
 The quadratic cover T(V)/(ker(Psi + Id)) is handled the same way: its
 ideal has I_0 = I_1 = 0, I_2 = R and I_d = V ox I_(d-1) + R ox V^(d-2),
@@ -31,7 +35,6 @@ from fknichols.cyclotomic import (
     BadModularSpecError,
     CyclotomicNumber,
     ModularSpec,
-    RootOfUnity,
     find_modular_spec,
     integer_zeta_power,
     reduction_rows,
@@ -50,36 +53,6 @@ class ResourceBudgetError(RuntimeError):
         )
         self.required = required
         self.budget = budget
-
-
-@dataclass(frozen=True)
-class MonomialMatrix:
-    """Monomial operator: e_i -> zeta_order^exps[i] e_targets[i]."""
-
-    dimension: int
-    targets: tuple[int, ...]
-    exps: tuple[int, ...]
-    scalar_order: int
-
-    @staticmethod
-    def identity(dimension: int, scalar_order: int) -> "MonomialMatrix":
-        return MonomialMatrix(
-            dimension, tuple(range(dimension)), (0,) * dimension, scalar_order
-        )
-
-    def compose(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        """self after other."""
-        if self.dimension != other.dimension or self.scalar_order != other.scalar_order:
-            raise ValueError("mismatched monomial matrices")
-        targets = tuple(self.targets[t] for t in other.targets)
-        exps = tuple(
-            (other.exps[i] + self.exps[other.targets[i]]) % self.scalar_order
-            for i in range(self.dimension)
-        )
-        return MonomialMatrix(self.dimension, targets, exps, self.scalar_order)
-
-    def scalar(self, i: int) -> RootOfUnity:
-        return RootOfUnity(self.scalar_order, self.exps[i])
 
 
 class BraidedSpace:
@@ -209,45 +182,34 @@ def reduced_word(perm) -> list[int]:
     return word
 
 
-def braid_lift(space: BraidedSpace, degree: int, perm) -> MonomialMatrix:
-    """The lift of perm in S_degree to V^(ox degree) along a reduced word.
-
-    Independent of the chosen reduced word (Matsumoto, given Yang-Baxter).
-    """
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    if sorted(perm) != list(range(degree)):
-        raise ValueError("perm must be a permutation of 0..degree-1")
+def _apply_psi_sparse(space, scalars, vec: dict, pos: int, degree: int) -> dict:
+    """Apply Psi at 1-based position pos to a sparse packed vector."""
     dim = space.dim
-    size = dim**degree
-    out = MonomialMatrix.identity(size, space.scalar_order)
-    for pos in reduced_word(perm):
-        out = _psi_matrix(space, degree, pos).compose(out)
-    return out
-
-
-def _psi_matrix(space: BraidedSpace, degree: int, pos: int) -> MonomialMatrix:
-    """Psi acting on tensor positions pos, pos+1 (1-based pos)."""
-    dim = space.dim
-    size = dim**degree
     w = dim ** (degree - pos - 1)
-    targets = []
-    exps = []
-    for key in range(size):
-        pair = (key // w) % (dim * dim)
-        a, b = divmod(pair, dim)
-        c, d, e = space.braid_pair(a, b)
-        targets.append(key + ((c * dim + d) - pair) * w)
-        exps.append(e)
-    return MonomialMatrix(size, tuple(targets), tuple(exps), space.scalar_order)
+    pair_mod = dim * dim
+    targets = space.braid_targets
+    exps = space.braid_exps
+    out = {}
+    for key, c in vec.items():
+        pair = (key // w) % pair_mod
+        t = targets[pair]
+        e = exps[pair]
+        out[key + (t - pair) * w] = scalars.mul_zeta(c, e) if e else c
+    return out
 
 
 def yang_baxter_holds(space: BraidedSpace) -> bool:
     """(Psi ox Id)(Id ox Psi)(Psi ox Id) = (Id ox Psi)(Psi ox Id)(Id ox Psi)
-    on all basis triples."""
-    p1 = _psi_matrix(space, 3, 1)
-    p2 = _psi_matrix(space, 3, 2)
-    return p1.compose(p2).compose(p1) == p2.compose(p1).compose(p2)
+    on every basis tensor of V ox V ox V, in Z[zeta]."""
+    scalars = _ExactScalars(space.scalar_order)
+
+    def lift(key, word):
+        vec = {key: scalars.one}
+        for pos in word:
+            vec = _apply_psi_sparse(space, scalars, vec, pos, 3)
+        return vec
+
+    return all(lift(k, (1, 2, 1)) == lift(k, (2, 1, 2)) for k in range(space.dim**3))
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +243,7 @@ class _ExactScalars:
 
     @staticmethod
     def from_cyclotomic(v: CyclotomicNumber):
-        """Integer coordinates of an element with integer coefficients."""
-        return tuple(c.numerator for c in v.coeffs)
+        return v.coeffs
 
 
 class _ModularScalars:
@@ -366,22 +327,6 @@ def _all_multidegrees(space: BraidedSpace, degree: int):
 
     labels = sorted(set(space.grading))
     return [tuple(c) for c in combinations_with_replacement(labels, degree)]
-
-
-def _apply_psi_sparse(space, scalars, vec: dict, pos: int, degree: int) -> dict:
-    """Apply Psi at 1-based position pos to a sparse packed vector."""
-    dim = space.dim
-    w = dim ** (degree - pos - 1)
-    pair_mod = dim * dim
-    targets = space.braid_targets
-    exps = space.braid_exps
-    out = {}
-    for key, c in vec.items():
-        pair = (key // w) % pair_mod
-        t = targets[pair]
-        e = exps[pair]
-        out[key + (t - pair) * w] = scalars.mul_zeta(c, e) if e else c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +615,6 @@ class HilbertData:
     max_degree: int
     per_degree: tuple[int, ...]
     per_multidegree: dict
-
-    def coefficient(self, degree: int) -> int:
-        return self.per_degree[degree]
 
 
 def _hilbert(calc: _Calculator, max_degree: int) -> HilbertData:

@@ -1,5 +1,4 @@
 import random
-from math import lcm
 
 import pytest
 
@@ -50,9 +49,6 @@ def random_reflection(params, rand):
 
 def echelon_vector(entries):
     """(idx, co) for ``ExactEchelon.insert`` from (position, CyclotomicNumber)
-    pairs: the nonzero entries as integer power-basis tuples, their
-    denominators cleared by one common factor.  Scaling a vector by a nonzero
-    rational changes no rank over Q(zeta)."""
+    pairs: the nonzero entries as integer power-basis tuples."""
     entries = [(i, x) for i, x in entries if not x.is_zero]
-    den = lcm(*(c.denominator for _, x in entries for c in x.coeffs))
-    return [i for i, _ in entries], [tuple(int(c * den) for c in x.coeffs) for _, x in entries]
+    return [i for i, _ in entries], [x.coeffs for _, x in entries]

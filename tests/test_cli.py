@@ -1,5 +1,8 @@
 import json
 import time
+from concurrent.futures import Future
+
+import pytest
 
 from fknichols import cli, diagonal as dg
 
@@ -188,30 +191,47 @@ def test_checkpoint_in_a_missing_directory_is_an_error(tmp_path, capsys):
     assert not path.parent.exists()
 
 
-def test_jobs_env_default(monkeypatch):
-    monkeypatch.setenv("FKNICHOLS_JOBS", "3")
-    args = cli.build_parser().parse_args(["groupoid", "sweep", "--max", "5"])
-    assert args.jobs == 3
-    monkeypatch.setenv("FKNICHOLS_JOBS", "badvalue")
+def test_jobs_below_one_is_a_usage_error(capsys):
+    for value in ("0", "-3"):
+        code, out, err = run_cli(capsys, "groupoid", "sweep", "--max", "5", "--jobs", value)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "--jobs" in err and f"got {value}" in err
     args = cli.build_parser().parse_args(["groupoid", "sweep", "--max", "5"])
     assert args.jobs == 1
+    with pytest.raises(dg.DomainError):
+        cli.cyclic_fk.sweep_groupoid_existence(5, jobs=0)
 
 
-def test_main_jobs_default_follows_env_per_call(monkeypatch, capsys):
-    # main reuses its parser within a process; the --jobs default must still
-    # be read from FKNICHOLS_JOBS as it is at each call
-    real = cli.cyclic_fk.sweep_groupoid_existence
-    seen = []
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs each
+    submitted call at once, so no process starts."""
 
-    def fake(max_n, **kwargs):
-        seen.append(kwargs["jobs"])
-        return real(max_n, **{**kwargs, "jobs": 1})
+    started: list = []
 
-    monkeypatch.setattr(cli.cyclic_fk, "sweep_groupoid_existence", fake)
-    for value in ("3", "1"):
-        monkeypatch.setenv("FKNICHOLS_JOBS", value)
-        assert run_cli(capsys, "groupoid", "sweep", "--max", "5")[0] == 0
-    assert seen == [3, 1]
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self):
+        pass
+
+
+def test_sweep_starts_at_most_cpu_count_workers(monkeypatch, capsys):
+    monkeypatch.setattr(cli.cyclic_fk, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cli.cyclic_fk.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(_InlinePool, "started", [])
+    code, out, _ = run_cli(capsys, "groupoid", "sweep", "--max", "10", "--jobs", "5000")
+    assert code == 0
+    assert _InlinePool.started == [3]
+    assert out == run_cli(capsys, "groupoid", "sweep", "--max", "10", "--jobs", "1")[1]
+    assert _InlinePool.started == [3]  # --jobs 1 starts no pool
+    monkeypatch.setattr(cli.cyclic_fk.os, "cpu_count", lambda: None)
+    assert run_cli(capsys, "groupoid", "sweep", "--max", "10", "--jobs", "5000")[1] == out
+    assert _InlinePool.started == [3]  # an unknown CPU count runs inline
 
 
 def test_usage_error_exit_64(capsys):

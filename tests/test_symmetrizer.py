@@ -10,7 +10,12 @@ from fknichols import diagonal as dg
 from fknichols import reflection_groups as rg
 from fknichols import symmetrizer as sm
 from fknichols._linalg import ExactEchelon
-from fknichols.cyclotomic import BadModularSpecError, CyclotomicNumber, find_modular_spec
+from fknichols.cyclotomic import (
+    BadModularSpecError,
+    CyclotomicNumber,
+    find_modular_spec,
+    integer_zeta_power,
+)
 
 
 def diag_space(*args):
@@ -24,29 +29,77 @@ def b2_space(yd_cache):
     return sm.space_from_yd(yd_cache(2, 1, 2))
 
 
-def test_braid_lift_identity_and_transposition():
-    space = diag_space(4)
-    ident = sm.braid_lift(space, 2, (0, 1))
-    assert ident == sm.MonomialMatrix.identity(space.dim**2, space.scalar_order)
-    psi = sm.braid_lift(space, 2, (1, 0))
-    assert psi == sm._psi_matrix(space, 2, 1)
-
-
-def test_braid_lift_longest_element_both_words():
-    for space in (diag_space(4), diag_space(8, [2, 7])):
-        p1 = sm._psi_matrix(space, 3, 1)
-        p2 = sm._psi_matrix(space, 3, 2)
-        word121 = p1.compose(p2).compose(p1)
-        word212 = p2.compose(p1).compose(p2)
-        assert word121 == word212
-        assert sm.braid_lift(space, 3, (2, 1, 0)) == word121
-
-
 def _lift_along(space, degree, word):
-    out = sm.MonomialMatrix.identity(space.dim**degree, space.scalar_order)
-    for pos in word:
-        out = sm._psi_matrix(space, degree, pos).compose(out)
+    """Psi applied at the positions of word, in order, to every basis tensor
+    of V^(ox degree): one sparse Z[zeta] vector per basis tensor."""
+    scalars = sm._ExactScalars(space.scalar_order)
+    out = []
+    for key in range(space.dim**degree):
+        vec = {key: scalars.one}
+        for pos in word:
+            vec = sm._apply_psi_sparse(space, scalars, vec, pos, degree)
+        out.append(vec)
     return out
+
+
+def test_sparse_lift_identity_and_transposition():
+    space = diag_space(4)
+    one = integer_zeta_power(space.scalar_order, 0)
+    for degree in (2, 3):
+        assert _lift_along(space, degree, []) == [{k: one} for k in range(space.dim**degree)]
+    assert sm.reduced_word((0, 1)) == [] and sm.reduced_word((1, 0)) == [1]
+    # the word [1] at degree 2 is Psi itself, as braid_pair gives it
+    expected = []
+    for a in range(space.dim):
+        for b in range(space.dim):
+            c, d, e = space.braid_pair(a, b)
+            expected.append({c * space.dim + d: integer_zeta_power(space.scalar_order, e)})
+    assert _lift_along(space, 2, [1]) == expected
+
+
+def test_sparse_lift_longest_element_both_words():
+    for space in (diag_space(4), diag_space(8, [2, 7])):
+        word121 = _lift_along(space, 3, (1, 2, 1))
+        assert word121 == _lift_along(space, 3, (2, 1, 2))
+        assert word121 == _lift_along(space, 3, sm.reduced_word((2, 1, 0)))
+
+
+def _pair_permutation_space(targets):
+    """dim-2 space whose braiding permutes the pair basis by targets, with
+    every scalar 1."""
+    return sm.BraidedSpace(2, 2, targets, (0,) * 4, grading=(1, 1))
+
+
+def _yang_baxter_on_digits(targets):
+    """Yang-Baxter for a pair permutation of a dim-2 space, checked on digit
+    triples (x0, x1, x2) with no packed tensor index."""
+
+    def psi(x, pos):
+        c, d = divmod(targets[2 * x[pos - 1] + x[pos]], 2)
+        return x[: pos - 1] + (c, d) + x[pos + 1 :]
+
+    return all(
+        psi(psi(psi(x, 1), 2), 1) == psi(psi(psi(x, 2), 1), 2)
+        for x in itertools.product(range(2), repeat=3)
+    )
+
+
+def test_yang_baxter_fails_for_a_pair_permutation():
+    assert not sm.yang_baxter_holds(_pair_permutation_space((0, 1, 3, 2)))
+    assert sm.yang_baxter_holds(_pair_permutation_space((0, 2, 1, 3)))  # the flip
+    # Psi(e_a ox e_b) = q_ab e_a ox e_b gives q_ab^2 q_bc against q_ab q_bc^2
+    # on e_a ox e_b ox e_c: only the scalars break Yang-Baxter here
+    scaled = sm.BraidedSpace(2, 2, (0, 1, 2, 3), (0, 1, 0, 0), grading=(1, 1))
+    assert not sm.yang_baxter_holds(scaled)
+
+
+def test_yang_baxter_matches_digit_oracle_on_all_pair_permutations():
+    verdicts = []
+    for targets in itertools.permutations(range(4)):
+        holds = sm.yang_baxter_holds(_pair_permutation_space(targets))
+        assert holds == _yang_baxter_on_digits(targets), targets
+        verdicts.append(holds)
+    assert verdicts.count(False) == 19
 
 
 def _alternate_reduced_word(perm):

@@ -32,16 +32,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_subset(text: str) -> tuple[int, ...]:
+def _subset(n: int, text: str | None) -> tuple[int, ...]:
+    """The --subset of a cyclic source in the order given, or 1..n-1."""
+    if not text:
+        return tuple(range(1, n))
     try:
         return tuple(int(x) for x in text.replace(" ", "").split(",") if x)
     except ValueError:
         raise diagonal.DomainError(f"bad subset {text!r}")
-
-
-def _braiding_from_args(args) -> diagonal.DiagonalBraiding:
-    subset = _parse_subset(args.subset) if args.subset else range(1, args.cyclic)
-    return diagonal.cyclic_braiding(args.cyclic, subset)
 
 
 def _space_from_args(args) -> symmetrizer.BraidedSpace:
@@ -53,7 +51,8 @@ def _space_from_args(args) -> symmetrizer.BraidedSpace:
                 "the reflection set is empty; no braided space"
             )
         return symmetrizer.space_from_yd(module)
-    return symmetrizer.space_from_diagonal(_braiding_from_args(args))
+    braiding = diagonal.cyclic_braiding(args.cyclic, _subset(args.cyclic, args.subset))
+    return symmetrizer.space_from_diagonal(braiding)
 
 
 def _max_degree(args, least: int = 0) -> int:
@@ -80,11 +79,8 @@ def _int_at_least(least: int):
     return parse
 
 
-def _mode_args(args) -> dict:
-    return {
-        "mode": "modular" if args.modular else "exact",
-        "block_budget": args.budget,
-    }
+def _mode(args) -> str:
+    return "modular" if args.modular else "exact"
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +88,7 @@ def _mode_args(args) -> dict:
 
 
 def _cmd_groupoid_check(args):
-    subset = _parse_subset(args.subset) if args.subset else range(1, args.n)
+    subset = _subset(args.n, args.subset)
     braiding = diagonal.cyclic_braiding(args.n, subset)
     result = diagonal.explore_groupoid(braiding, args.max_objects)
     payload = {
@@ -227,10 +223,9 @@ def _hilbert_payload(command, args, data):
         "command": command,
         "source": {"group": args.group} if args.group else {
             "cyclic": args.cyclic,
-            "subset": sorted(_parse_subset(args.subset)) if args.subset else
-            list(range(1, args.cyclic)),
+            "subset": sorted(_subset(args.cyclic, args.subset)),
         },
-        "mode": "modular" if args.modular else "exact",
+        "mode": _mode(args),
         **symmetrizer.hilbert_to_json(data),
     }
 
@@ -248,27 +243,25 @@ def _hilbert_csv(data):
     return rows
 
 
-def _cmd_nichols_hilbert(args):
-    max_degree = _max_degree(args)
-    space = _space_from_args(args)
-    data = symmetrizer.nichols_hilbert(space, max_degree, **_mode_args(args))
-    return _hilbert_payload("nichols hilbert", args, data), _hilbert_lines(data), _hilbert_csv(data)
+def _series_handler(command: str, series):
+    """The handler of a one-series command: ``nichols hilbert`` or ``fk hilbert``."""
 
+    def handler(args):
+        max_degree = _max_degree(args)
+        space = _space_from_args(args)
+        data = series(space, max_degree, _mode(args), block_budget=args.budget)
+        return _hilbert_payload(command, args, data), _hilbert_lines(data), _hilbert_csv(data)
 
-def _cmd_fk_hilbert(args):
-    max_degree = _max_degree(args)
-    space = _space_from_args(args)
-    data = symmetrizer.quadratic_hilbert(space, max_degree, **_mode_args(args))
-    return _hilbert_payload("fk hilbert", args, data), _hilbert_lines(data), _hilbert_csv(data)
+    return handler
 
 
 def _cmd_hilbert_compare(args):
     max_degree = _max_degree(args, least=2)
     space = _space_from_args(args)
-    cmp = symmetrizer.hilbert_compare(space, max_degree, **_mode_args(args))
+    cmp = symmetrizer.hilbert_compare(space, max_degree, _mode(args), block_budget=args.budget)
     payload = {
         "command": "hilbert compare",
-        "mode": "modular" if args.modular else "exact",
+        "mode": _mode(args),
         **symmetrizer.comparison_to_json(cmp),
     }
     lines = [
@@ -283,7 +276,8 @@ def _cmd_hilbert_compare(args):
 
 
 def _cmd_pbw_dim(args):
-    braiding = _braiding_from_args(args)
+    subset = _subset(args.cyclic, args.subset)
+    braiding = diagonal.cyclic_braiding(args.cyclic, subset)
     roots = diagonal.enumerate_positive_roots(braiding, max_roots=args.max_roots)
     finite = roots is not diagonal.BOUND_EXCEEDED
     dim = None
@@ -294,8 +288,7 @@ def _cmd_pbw_dim(args):
     payload = {
         "command": "pbw dim",
         "cyclic": args.cyclic,
-        "subset": sorted(_parse_subset(args.subset)) if args.subset else
-        list(range(1, args.cyclic)),
+        "subset": sorted(subset),
         "finite": finite,
         "dimension": dim,
         "positiveRoots": sorted(list(r) for r in roots) if finite else None,
@@ -377,13 +370,13 @@ def build_parser() -> _Parser:
     nsub = nich.add_subparsers(dest="subcommand", required=True)
     nh = nsub.add_parser("hilbert", parents=[common])
     _add_hilbert_args(nh)
-    nh.set_defaults(handler=_cmd_nichols_hilbert)
+    nh.set_defaults(handler=_series_handler("nichols hilbert", symmetrizer.nichols_hilbert))
 
     fk = sub.add_parser("fk")
     fsub = fk.add_subparsers(dest="subcommand", required=True)
     fh = fsub.add_parser("hilbert", parents=[common])
     _add_hilbert_args(fh)
-    fh.set_defaults(handler=_cmd_fk_hilbert)
+    fh.set_defaults(handler=_series_handler("fk hilbert", symmetrizer.quadratic_hilbert))
 
     hilbert = sub.add_parser("hilbert")
     hsub = hilbert.add_subparsers(dest="subcommand", required=True)

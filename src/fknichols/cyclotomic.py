@@ -93,13 +93,7 @@ def reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Reduction of x^k mod Phi_n for k = phi..2*phi-2 (kernel input)."""
     phi = euler_phi(n)
     table = _power_table(n)
-    if 2 * phi - 2 < n:
-        return tuple(table[k] for k in range(phi, 2 * phi - 1))
-    # need powers beyond n-1 only when phi is large relative to n (n=1,2)
-    rows = []
-    for k in range(phi, 2 * phi - 1):
-        rows.append(table[k % n])
-    return tuple(rows)
+    return tuple(table[k % n] for k in range(phi, 2 * phi - 1))
 
 
 @lru_cache(maxsize=None)

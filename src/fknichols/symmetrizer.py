@@ -2,11 +2,11 @@
 
 The degree-d component of the Nichols algebra is the image of the quantum
 symmetrizer S_d = sum over S_d of braid lifts; its rank is computed
-blockwise (the symmetrizer preserves the multidegree by summand label and,
-for group braidings, the total group degree).  The production route builds
-the column space level by level through the coset factorization
-S_d = T_d (S_(d-1) ox Id) with T_d = sum of the d staircase lifts; the
-direct sum-over-permutations route is kept as an independent oracle.
+blockwise (the symmetrizer preserves the multidegree by summand label).
+The production route builds the column space level by level through the
+coset factorization S_d = T_d (S_(d-1) ox Id) with T_d = sum of the d
+staircase lifts; the direct sum-over-permutations route is kept as an
+independent oracle.
 Psi acts on V^(ox d) through one sparse operator, ``_apply_psi_sparse``:
 the calculators, the direct oracle and ``yang_baxter_holds`` all apply it,
 with coefficients that are integer tuples in Z[zeta_L] or residues mod a
@@ -60,8 +60,7 @@ class BraidedSpace:
 
     braid_targets/braid_exps encode Psi(e_a ox e_b) = zeta_L^e e_a' ox e_b'
     on packed pair indices a*dim+b.  grading assigns a summand label to each
-    basis vector; group_degree (optional) assigns a hashable group element,
-    multiplicative via group_mul, refining the block decomposition.
+    basis vector; the sorted labels of a basis tensor are its block.
     """
 
     def __init__(
@@ -71,9 +70,6 @@ class BraidedSpace:
         braid_targets,
         braid_exps,
         grading,
-        group_degree=None,
-        group_mul=None,
-        group_unit=None,
         name: str = "",
     ):
         self.dim = dim
@@ -81,9 +77,6 @@ class BraidedSpace:
         self.braid_targets = tuple(braid_targets)
         self.braid_exps = tuple(e % scalar_order for e in braid_exps)
         self.grading = tuple(grading)
-        self.group_degree = tuple(group_degree) if group_degree is not None else None
-        self.group_mul = group_mul
-        self.group_unit = group_unit
         self.name = name
         if len(self.braid_targets) != dim * dim or len(self.braid_exps) != dim * dim:
             raise ValueError("braiding tables must have dim^2 entries")
@@ -119,8 +112,7 @@ def space_from_diagonal(braiding) -> BraidedSpace:
 
 
 def space_from_yd(module) -> BraidedSpace:
-    """BraidedSpace of a reflection-group YD module; grading by summand
-    label, group degree by the underlying reflection elements."""
+    """BraidedSpace of a reflection-group YD module, graded by summand label."""
     from fknichols.reflection_groups import decompose_yd
 
     dim = module.dim
@@ -136,27 +128,12 @@ def space_from_yd(module) -> BraidedSpace:
             c, d, e = module.braid(a, b)
             targets.append(c * dim + d)
             exps.append(e)
-    elements = tuple(s.to_element(module.params) for s in module.basis)
-    # _block_of_key multiplies a running degree by one basis element at a
-    # time, so this memo holds at most |G| * dim products
-    products: dict = {}
-
-    def group_mul(a, b):
-        key = (a, b)
-        g = products.get(key)
-        if g is None:
-            g = products[key] = a * b
-        return g
-
     return BraidedSpace(
         dim,
         L,
         targets,
         exps,
         grading=tuple(labels),
-        group_degree=elements,
-        group_mul=group_mul,
-        group_unit=module.params.identity(),
         name=f"YD(G({module.params.m},{module.params.p},{module.params.n}))",
     )
 
@@ -291,20 +268,14 @@ def _make_scalars(space: BraidedSpace, mode: str, spec: ModularSpec | None):
 
 
 def _block_of_key(space: BraidedSpace, key: int, degree: int):
-    """(multidegree, group degree) of a packed tensor index."""
+    """The multidegree (sorted summand labels) of a packed tensor index.
+
+    Psi also preserves the group degree of a YD module, but an echelon
+    reduction meets only the pivot with the vector's own lead, so vectors
+    of different group degrees never combine: that split changes no rank.
+    """
     dim = space.dim
-    digits = []
-    for _ in range(degree):
-        digits.append(key % dim)
-        key //= dim
-    digits.reverse()
-    multideg = tuple(sorted(space.grading[i] for i in digits))
-    if space.group_degree is None:
-        return multideg, None
-    g = space.group_unit
-    for i in digits:
-        g = space.group_mul(g, space.group_degree[i])
-    return multideg, g
+    return tuple(sorted(space.grading[key // dim**k % dim] for k in range(degree)))
 
 
 def _multidegree_size(space: BraidedSpace, multideg) -> int:
@@ -337,8 +308,8 @@ class _Calculator:
     """Level list, degree check and block steps shared by the Nichols and
     quadratic calculators.
 
-    ``self._levels[d]`` maps each block (multidegree, group degree) to the
-    echelon basis found there at degree d.  A route appends level d =
+    ``self._levels[d]`` maps each block (multidegree) to the echelon basis
+    found there at degree d.  A route appends level d =
     len(self._levels) in ``_extend`` and turns the ranks of ``_ranks(d)``
     into dimensions in ``multidegree_dims``; ``_level`` is the one place
     that checks a degree.
@@ -374,10 +345,7 @@ class _Calculator:
 
     def _ranks(self, degree: int) -> dict:
         """Number of echelon vectors per multidegree at this degree."""
-        out: dict = {}
-        for (multideg, _), vectors in self._level(degree).items():
-            out[multideg] = out.get(multideg, 0) + len(vectors)
-        return out
+        return {multideg: len(vectors) for multideg, vectors in self._level(degree).items()}
 
     def graded_dim(self, degree: int) -> int:
         return sum(self.multidegree_dims(degree).values())
@@ -392,10 +360,10 @@ class _Calculator:
             self._size_cache[multideg] = _multidegree_size(self.space, multideg)
         return self._size_cache[multideg]
 
-    def _check_budget(self, multideg):
+    def _check_budget(self, block):
         if self.block_budget is None:
             return
-        size = self._size(multideg)
+        size = self._size(block)
         if size > self.block_budget:
             raise ResourceBudgetError(size, self.block_budget)
 
@@ -405,7 +373,7 @@ class _Calculator:
         if not vec_items:
             return
         block = _block_of_key(self.space, vec_items[0][0], degree)
-        self._check_budget(block[0])
+        self._check_budget(block)
         if block not in echelons:
             echelons[block] = self.scalars.new_echelon()
         echelons[block].insert([k for k, _ in vec_items], [c for _, c in vec_items])
@@ -431,8 +399,7 @@ class NicholsCalculator(_Calculator):
         block_budget: int | None = DEFAULT_BLOCK_BUDGET,
     ):
         super().__init__(space, mode, spec, block_budget)
-        root_block = ((), space.group_unit if space.group_degree is not None else None)
-        self._levels.append({root_block: [([0], [self.scalars.one])]})
+        self._levels.append({(): [([0], [self.scalars.one])]})
 
     def _extend(self):
         space = self.space
@@ -479,6 +446,8 @@ def direct_graded_dim(
 ) -> int:
     """Oracle route: assemble S_d as the explicit sum of the |S_d| braid
     lifts applied to every basis tensor, and take the rank blockwise."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     if degree == 0:
         return 1
     space_dim = space.dim
@@ -524,7 +493,7 @@ def quadratic_relations(space: BraidedSpace) -> list[dict[int, CyclotomicNumber]
 
     and otherwise it is zero.  Each basis vector starts its cycle at the
     largest packed key, where its coefficient is 1, and the vectors are
-    ordered by (repr of the block of that key, the key).  This is the
+    ordered by (repr of the multidegree of that key, the key).  This is the
     reduced-echelon nullspace basis of Psi + Id, block by block: the
     kernel vector of a cycle has full support, so any l - 1 of the cycle's
     columns are independent and its largest key is the free column.

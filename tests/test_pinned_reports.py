@@ -31,7 +31,12 @@ bytes.
 
 The relation digests were taken while ``quadratic_relations`` found
 R = ker(Psi + Id) by dense elimination over Q(zeta), block by block.  They
-pin the relation lists themselves: their order, keys and coefficients.
+pin the relation lists themselves: their order, keys and coefficients.  The
+G(3,3,3) and G(5,5,2) digests were re-pinned when the symmetrizer stopped
+splitting a block by total group degree: the relations are ordered by the
+repr of their block, which is now the multidegree alone, so those two lists
+came out permuted.  The relation-set digests, taken over the sorted lists
+before that change, pin that the relations themselves did not change.
 
 The Hilbert digests were taken while the Nichols and quadratic calculators
 each kept their own constructor, budget check and series loop.  They pin
@@ -116,8 +121,8 @@ HILBERT_DIGESTS = {
 }
 
 RELATION_DIGESTS = {
-    "G(3,3,3)": "dec91618bdce21ab55f1a03fa5d421f7f53c73cf02ea857582df966b62a01da7",
-    "G(5,5,2)": "d4293837e205eaf30dba570f832a03c60cea53ce14808835f84e07c76d04aeb8",
+    "G(3,3,3)": "fe97f24e6cff95f4f0d732306e583447ab92728b9de3ac7f656c2b471d7f0940",
+    "G(5,5,2)": "38f1204a8b7918aafd0177116e2c458510e11f08a6d81af37b048327db815bee",
     "C8 (1,4)": "8dcf23fccc949f0551e6bbee961c267e86ec469647f469d343a24c3d9112c923",
     "C5 full": "747d2397f0c17635c445bc13d588ce0461c62bd14460e609ff4662fb8a37cbaa",
 }
@@ -140,6 +145,14 @@ YD_TABLE_DIGESTS = {
     "2 1 2": "795438204c740e96eb9925befd7d74e9c7d9a4d4445a6cf3d50cafc2271a128e",
     "4 4 3": "492328b63a9114cad67241cd4031e4b125c94799993c973d44cd7c52b87b1e52",
     "5 1 2": "d1db8df8aa5ea27feb0611dd3f00ceb0d51565ff35106fc90c3c3480f222f4e6",
+}
+
+# SHA-256 of repr(sorted(relation lists)): the relations as a set, in any order
+RELATION_SET_DIGESTS = {
+    "G(3,3,3)": "6ba22616b234e0c091c3b635eefe2cfc88491e8e1dd19a39db4dc2ff0a2a961e",
+    "G(5,5,2)": "2312f25da18e3caf26f3f9aeb77c29d5289811c2fbc38960e83e2e8cd6c0305e",
+    "C8 (1,4)": "8dcf23fccc949f0551e6bbee961c267e86ec469647f469d343a24c3d9112c923",
+    "C5 full": "747d2397f0c17635c445bc13d588ce0461c62bd14460e609ff4662fb8a37cbaa",
 }
 
 RELATION_SPACES = {
@@ -182,13 +195,21 @@ def test_hilbert_report_is_pinned(args):
     assert _digest(args.split()) == HILBERT_DIGESTS[args]
 
 
+def _relation_items(name):
+    rels = symmetrizer.quadratic_relations(RELATION_SPACES[name]())
+    return [sorted((k, tuple(str(c) for c in v.coeffs)) for k, v in rel.items()) for rel in rels]
+
+
 @pytest.mark.parametrize("name", sorted(RELATION_DIGESTS))
 def test_quadratic_relations_are_pinned(name):
-    rels = symmetrizer.quadratic_relations(RELATION_SPACES[name]())
-    text = repr(
-        [sorted((k, tuple(str(c) for c in v.coeffs)) for k, v in rel.items()) for rel in rels]
-    )
+    text = repr(_relation_items(name))
     assert hashlib.sha256(text.encode()).hexdigest() == RELATION_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_SET_DIGESTS))
+def test_quadratic_relation_sets_are_pinned(name):
+    text = repr(sorted(_relation_items(name)))
+    assert hashlib.sha256(text.encode()).hexdigest() == RELATION_SET_DIGESTS[name]
 
 
 @pytest.mark.parametrize("group", YD_GROUPS)

@@ -177,6 +177,11 @@ def test_negative_degree_is_rejected(calculator):
         calc.multidegree_dims(-1)
 
 
+def test_direct_oracle_rejects_negative_degree():
+    with pytest.raises(ValueError, match="nonnegative"):
+        sm.direct_graded_dim(diag_space(4), -1)
+
+
 # groups G(m,p,n) with m <= 4 and n <= 2 whose YD module is nonzero
 SMALL_GROUPS = [
     (m, p, n)

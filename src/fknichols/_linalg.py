@@ -2,10 +2,13 @@
 rational oracle they are tested against.
 
 The echelon classes implement incremental rank computation: vectors are
-inserted one at a time and reduced against the pivots found so far.  Exact
-vectors carry integer cyclotomic coefficients (fraction-free elimination
-with content stripping), modular vectors single residues.  Every rank in
-the package goes through them; nothing in the package divides in Q(zeta).
+inserted one at a time and reduced against the pivots found so far.
+``insert`` is ``reduce`` and then, for a nonzero residual, ``append``; a
+caller that reads the residual of a dependent vector calls the two
+itself.  Exact vectors carry integer cyclotomic coefficients
+(fraction-free elimination with content stripping), modular vectors
+single residues.  Every rank in the package goes through them; nothing in
+the package divides in Q(zeta).
 
 ``rref_fraction`` is dense elimination over Q, used only by the tests as
 the oracle for the echelon ranks.
@@ -70,18 +73,33 @@ class ExactEchelon:
 
     def insert(self, idx: list[int], co: list[tuple[int, ...]]) -> bool:
         """Reduce (idx, co) against the basis; add as pivot if independent."""
+        idx, co = self.reduce(idx, co)
+        if idx:
+            self.append(idx, co)
+        return bool(idx)
+
+    def reduce(self, idx: list[int], co: list[tuple[int, ...]]):
+        """Reduce (idx, co) until its lead is no pivot's lead; the result is
+        empty exactly when the vector lies in the span of the basis.  Every
+        step multiplies the vector by a pivot's rational-integer lead and
+        divides it by an integer content."""
+        leads = self.leads
         while idx:
-            lead = idx[0]
-            pos = bisect_left(self.leads, lead)
-            if pos == len(self.leads) or self.leads[pos] != lead:
-                self.leads.insert(pos, lead)
-                self.vectors.insert(pos, (idx, self._integer_lead(co)))
-                return True
+            pos = bisect_left(leads, idx[0])
+            if pos == len(leads) or leads[pos] != idx[0]:
+                break
             pidx, pco = self.vectors[pos]
             idx, co = backend.combine_exact(
                 pco[0], idx, co, co[0], pidx, pco, self.phi, self.red
             )
-        return False
+        return idx, co
+
+    def append(self, idx: list[int], co: list[tuple[int, ...]]) -> None:
+        """Add a nonzero output of ``reduce`` as a pivot, scaled to a
+        rational-integer lead."""
+        pos = bisect_left(self.leads, idx[0])
+        self.leads.insert(pos, idx[0])
+        self.vectors.insert(pos, (idx, self._integer_lead(co)))
 
     def _integer_lead(self, co: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """c(co[0]) co without its integer content (see the class docstring)."""
@@ -109,18 +127,30 @@ class ModularEchelon:
         return len(self.leads)
 
     def insert(self, idx: list[int], co: list[int]) -> bool:
+        idx, co = self.reduce(idx, co)
+        if idx:
+            self.append(idx, co)
+        return bool(idx)
+
+    def reduce(self, idx: list[int], co: list[int]):
+        """As ``ExactEchelon.reduce``; a step subtracts a multiple of a pivot
+        and never rescales the vector."""
         p = self.p
+        leads = self.leads
         while idx:
-            lead = idx[0]
-            pos = bisect_left(self.leads, lead)
-            if pos == len(self.leads) or self.leads[pos] != lead:
-                self.leads.insert(pos, lead)
-                self.vectors.insert(pos, (idx, co))
-                return True
+            pos = bisect_left(leads, idx[0])
+            if pos == len(leads) or leads[pos] != idx[0]:
+                break
             pidx, pco = self.vectors[pos]
             factor = co[0] * pow(pco[0], -1, p) % p
             idx, co = backend.combine_mod(1, idx, co, factor, pidx, pco, p)
-        return False
+        return idx, co
+
+    def append(self, idx: list[int], co: list[int]) -> None:
+        """Add a nonzero output of ``reduce`` as a pivot."""
+        pos = bisect_left(self.leads, idx[0])
+        self.leads.insert(pos, idx[0])
+        self.vectors.insert(pos, (idx, co))
 
 
 def rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

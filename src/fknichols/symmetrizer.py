@@ -1,35 +1,74 @@
 """Graded dimensions of Nichols algebras and their quadratic covers.
 
-The degree-d component of the Nichols algebra is the image of the quantum
-symmetrizer S_d = sum over S_d of braid lifts; its rank is computed
-blockwise (the symmetrizer preserves the multidegree by summand label).
-The production route builds the column space level by level through the
-coset factorization S_d = T_d (S_(d-1) ox Id) with T_d = sum of the d
-staircase lifts; the direct sum-over-permutations route is kept as an
-independent oracle.
-Psi acts on V^(ox d) through one sparse operator, ``_apply_psi_sparse``:
-the calculators, the direct oracle and ``yang_baxter_holds`` all apply it,
-with coefficients that are integer tuples in Z[zeta_L] or residues mod a
-prime.
+B(V) = T(V) / ker S, where S_d, the sum over S_d of the braid lifts, is the
+quantum symmetrizer of degree d; so B^d = T^d / ker S_d, and [x] denotes
+the class of x.  Psi preserves the multidegree (the sorted summand labels),
+so every rank is computed block by block, one block per multidegree.
 
-The quadratic cover T(V)/(ker(Psi + Id)) is handled the same way: its
-ideal has I_0 = I_1 = 0, I_2 = R and I_d = V ox I_(d-1) + R ox V^(d-2),
-accumulated per block.  The relation space R needs no elimination: it is
-read off the cycles of the monomial braiding on V ox V (see
-``quadratic_relations``).  Both routes run on one skeleton,
-``_Calculator``: a list of levels, one degree check, and one Hilbert loop;
-each route supplies only its level step and its rule for turning the ranks
-of a level into dimensions.
+The Nichols route works in quotient coordinates: the skew-derivation
+description of B(V) (Milinski-Schneider and Grana, both in Contemp. Math.
+267, 2000).  Write c_i for Psi at positions i, i+1 and
+
+    T'_d = Id + c_(d-1) + c_(d-1) c_(d-2) + ... + c_(d-1) ... c_1,
+    T_d  = Id + c_(d-1) + c_(d-2) c_(d-1) + ... + c_1 ... c_(d-1).
+
+Every permutation in S_d is uniquely a product s t, with lengths adding,
+of an s in S_(d-1) and a t = s_(d-1) ... s_i (i = d gives the identity),
+and likewise a product t' s' with t' = s_i ... s_(d-1) and s' in S_(d-1).
+The braid lifts of these t and t' are the terms of T'_d and T_d, so
+Matsumoto's theorem gives
+
+    S_d = (S_(d-1) ox Id) T'_d = T_d (S_(d-1) ox Id).
+
+1. Right multiplication is well defined.  If S_(d-1) x = 0 then
+   S_d (x ox a) = T_d (S_(d-1) x ox a) = 0, so ker S_(d-1) ox V lies in
+   ker S_d, and mul([x] ox a) = [x ox a] is a map B^(d-1) ox V -> B^d.
+2. Let phi_d = ([.] ox Id) T'_d : T^d -> B^(d-1) ox V.  Then ker phi_d =
+   ker S_d over any field.  The map iota: B^(d-1) -> T^(d-1),
+   [x] -> S_(d-1) x, is well defined and injective, and
+   S_(d-1) = iota [.]; so S_d = (iota ox Id) phi_d, and iota ox Id is
+   injective.  Hence phi_d induces an injection of B^d into
+   B^(d-1) ox V, dim B^d = rank phi_d, and B^d is spanned by the [w a]
+   with w in a basis of B^(d-1) and a in V.
+3. The recursion.  phi_1(a) = 1 ox a, and for d >= 2
+
+       phi_d(x a) = [x] ox a + (mul ox Id)(Id ox Psi)(phi_(d-1)(x) ox a).
+
+   Indeed T'_d = Id + c_(d-1) (T'_(d-1) ox Id).  Write T'_(d-1) x as a
+   sum of y_j ox b_j with y_j in T^(d-2); c_(d-1) acts on b_j ox a
+   alone, and [.] ox Id takes y_j ox Psi(b_j ox a) to
+   (mul ox Id)([y_j] ox Psi(b_j ox a)) by 1, while the [y_j] ox b_j sum
+   to phi_(d-1)(x).  By 1 and 2 both sides depend on x only through
+   [x], so x may be any element of B^(d-1).
+
+Level d therefore needs only phi_(d-1) of a basis of B^(d-1) and mul on
+B^(d-2) ox V: each vector has at most dim * dim B^(d-1) coordinates, where
+the image of S_d in T^d needs the blocks of V^(ox d).  The ranks are those
+of S_d over the same field, so exact mode (Z[zeta], fraction-free) and
+modular mode (F_p) share the one step of ``NicholsCalculator``.  The
+direct sum-over-permutations route, ``direct_graded_dim``, is kept as an
+independent oracle.  Psi acts on V^(ox d) through one sparse operator,
+``_apply_psi_sparse``, which that oracle and ``yang_baxter_holds`` apply;
+the Nichols step needs Psi on V ox V only and reads the braiding tables.
+Coefficients are integer tuples in Z[zeta_L] or residues mod a prime.
+
+The quadratic cover T(V)/(ker(Psi + Id)) works in T^d: its ideal has
+I_0 = I_1 = 0, I_2 = R and I_d = V ox I_(d-1) + R ox V^(d-2), accumulated
+per block.  The relation space R needs no elimination: it is read off the
+cycles of the monomial braiding on V ox V (see ``quadratic_relations``).
+Both routes run on one skeleton, ``_Calculator``: a list of levels, one
+degree check, and one Hilbert loop; each route supplies only its level
+step and its rule for turning the ranks of a level into dimensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations as _permutations
-from math import factorial
+from math import factorial, gcd, lcm
 
 from fknichols import _linalg
-from fknichols._kernels_py import _cyc_mul
+from fknichols._kernels_py import _content, _cyc_mul
 from fknichols._numtheory import euler_phi
 from fknichols.cyclotomic import (
     BadModularSpecError,
@@ -208,6 +247,13 @@ class _ExactScalars:
             return c
         return _cyc_mul(c, self.zeta_rows[e], self.phi, self.red)
 
+    def times(self, a, b):
+        return a if b == self.one else _cyc_mul(a, b, self.phi, self.red)
+
+    @staticmethod
+    def scale(c, n: int):
+        return tuple(n * x for x in c)
+
     @staticmethod
     def nonzero(c) -> bool:
         return any(c)
@@ -217,6 +263,25 @@ class _ExactScalars:
 
     def new_echelon(self):
         return _linalg.ExactEchelon(self.order)
+
+    @staticmethod
+    def lowest_terms(den: int, co):
+        """The vector co / den as (D, co') with D a divisor of den."""
+        g = gcd(den, _content(co)) if den > 1 else 1
+        if g > 1:
+            co = [tuple(x // g for x in c) for c in co]
+        return den // g, co
+
+    @staticmethod
+    def solve(den: int, own, idx, co):
+        """x = -(sum co_k y_k) / (own den) as a row (D, idx, co) of integer
+        coefficients over the positive integer D.  ``own`` is a rational
+        integer: the echelon only multiplies by pivot leads, which are."""
+        d = own[0] * den
+        if d > 0:
+            co = [tuple(-x for x in c) for c in co]
+        d, co = _ExactScalars.lowest_terms(abs(d), co)
+        return d, idx, co
 
     @staticmethod
     def from_cyclotomic(v: CyclotomicNumber):
@@ -242,6 +307,12 @@ class _ModularScalars:
             return c
         return c * self.zeta_rows[e] % self.p
 
+    def times(self, a, b):
+        return a * b % self.p
+
+    def scale(self, c, n: int):
+        return c * n % self.p
+
     def nonzero(self, c) -> bool:
         return c % self.p != 0
 
@@ -250,6 +321,15 @@ class _ModularScalars:
 
     def new_echelon(self):
         return _linalg.ModularEchelon(self.p)
+
+    @staticmethod
+    def lowest_terms(den: int, co):
+        return den, co
+
+    def solve(self, den: int, own, idx, co):
+        """As ``_ExactScalars.solve``; every row has denominator 1."""
+        inv = pow(own * den, -1, self.p)
+        return 1, idx, [-c * inv % self.p for c in co]
 
     def from_cyclotomic(self, v: CyclotomicNumber):
         return self.spec.reduce(v)
@@ -305,20 +385,22 @@ def _all_multidegrees(space: BraidedSpace, degree: int):
 
 
 class _Calculator:
-    """Level list, degree check and block steps shared by the Nichols and
-    quadratic calculators.
+    """Level list and degree check shared by the Nichols and quadratic
+    calculators.
 
-    ``self._levels[d]`` maps each block (multidegree) to the echelon basis
-    found there at degree d.  A route appends level d =
-    len(self._levels) in ``_extend`` and turns the ranks of ``_ranks(d)``
-    into dimensions in ``multidegree_dims``; ``_level`` is the one place
-    that checks a degree.
+    ``self._levels[d]`` maps each block (multidegree) to the list of
+    vectors found there at degree d, one per dimension of the block's
+    Nichols component (Nichols route) or of the ideal (quadratic route).  A
+    route appends level d = len(self._levels) in ``_extend`` and turns the
+    ranks of ``_ranks(d)`` into dimensions in ``multidegree_dims``;
+    ``_level`` is the one place that checks a degree.
 
-    ``block_budget`` bounds the number of basis tensors in one block (one
-    multidegree); a larger block raises ResourceBudgetError, and None means
-    no bound.  In modular mode the budget is doubled, because elimination
-    over a prime field is cheaper than over Z[zeta]: the same budget admits
-    blocks twice as large there.
+    ``block_budget`` bounds the vectors one block of a level step may
+    eliminate: candidates of the Nichols step, basis tensors of the
+    quadratic step.  A larger block raises ResourceBudgetError, and None
+    means no bound.  In modular mode the budget is doubled, because
+    elimination over a prime field is cheaper than over Z[zeta]: the same
+    budget admits blocks twice as large there.
     """
 
     def __init__(
@@ -333,7 +415,6 @@ class _Calculator:
         if block_budget is not None and mode == "modular":
             block_budget *= 2
         self.block_budget = block_budget
-        self._size_cache: dict = {}
         self._levels: list[dict] = []
 
     def _level(self, degree: int) -> dict:
@@ -344,51 +425,39 @@ class _Calculator:
         return self._levels[degree]
 
     def _ranks(self, degree: int) -> dict:
-        """Number of echelon vectors per multidegree at this degree."""
+        """Number of vectors per multidegree at this degree."""
         return {multideg: len(vectors) for multideg, vectors in self._level(degree).items()}
 
     def graded_dim(self, degree: int) -> int:
         return sum(self.multidegree_dims(degree).values())
 
-    def _previous_vectors(self):
-        """The vectors of the last level, block by block in repr order."""
-        for _, vectors in sorted(self._levels[-1].items(), key=lambda kv: repr(kv[0])):
-            yield from vectors
+    def _previous_level(self):
+        """The blocks of the last level with their vectors, in repr order."""
+        return sorted(self._levels[-1].items(), key=lambda kv: repr(kv[0]))
 
-    def _size(self, multideg) -> int:
-        if multideg not in self._size_cache:
-            self._size_cache[multideg] = _multidegree_size(self.space, multideg)
-        return self._size_cache[multideg]
-
-    def _check_budget(self, block):
-        if self.block_budget is None:
-            return
-        size = self._size(block)
-        if size > self.block_budget:
-            raise ResourceBudgetError(size, self.block_budget)
-
-    def _insert(self, echelons, vec_items, degree):
-        """Insert a vector, given as sorted (key, coefficient) pairs, into
-        the echelon of its block; every key of it lies in that block."""
-        if not vec_items:
-            return
-        block = _block_of_key(self.space, vec_items[0][0], degree)
-        self._check_budget(block)
-        if block not in echelons:
-            echelons[block] = self.scalars.new_echelon()
-        echelons[block].insert([k for k, _ in vec_items], [c for _, c in vec_items])
-
-
-def _level_of(echelons) -> dict:
-    """The echelon basis of each block, as one calculator level."""
-    return {block: list(ech.vectors) for block, ech in echelons.items()}
+    def _check_budget(self, required: int):
+        if self.block_budget is not None and required > self.block_budget:
+            raise ResourceBudgetError(required, self.block_budget)
 
 
 class NicholsCalculator(_Calculator):
-    """Level-by-level column spaces of the quantum symmetrizers of a space.
+    """Graded dimensions of B(V), level by level in quotient coordinates
+    (see the module docstring for the proofs).
 
-    Level d stores, per block, an echelon basis of the image of S_d.  The
-    block budget is as in ``_Calculator``.
+    Level d holds a basis y of B^d, each y an integer multiple of the class
+    of a word.  ``self._levels[d][block]`` lists phi_d(y) for the basis
+    elements of that block, with the calculator's coefficients, over the
+    pairs (b, a) of B^(d-1) ox V, packed as b * dim + a, where b numbers the basis of
+    B^(d-1) in the order of ``_previous_level``.  Level 0 holds the unit
+    as the placeholder ([0], [1]), since phi_0 is not defined.
+    ``self._mul`` is the right multiplication into the last level:
+    ``self._mul[b * dim + a]`` is the row (D, idx, co) with
+    [y_b a] = (1/D) sum co_k y_(idx_k), D a positive integer (1 in modular
+    mode).
+
+    Level d is eliminated from the candidates y_b a, b in B^(d-1) and a in
+    V, grouped by multidegree; the block budget bounds the candidates of
+    one multidegree, and is as in ``_Calculator`` otherwise.
     """
 
     def __init__(
@@ -400,28 +469,97 @@ class NicholsCalculator(_Calculator):
     ):
         super().__init__(space, mode, spec, block_budget)
         self._levels.append({(): [([0], [self.scalars.one])]})
+        self._mul: list = []
 
     def _extend(self):
-        space = self.space
+        """Append level d: eliminate phi_d of the candidates block by block.
+
+        Candidate y_b a enters its block's echelon as the vector
+        (D phi_d(y_b a), 1 at its tag column), which stands for the element
+        D y_b a of B^d.  The keys of B^(d-1) ox V go to the columns
+        0 .. tag - 1 in decreasing order: eliminating from the largest pair
+        down meets far less fill-in (G(3,3,3) to degree 6 runs about four
+        times faster than with increasing columns).  The tag column,
+        tag + the index the candidate takes if it is a pivot, sorts after
+        them.  Every stored vector is phi_d of the combination of basis
+        elements that its tag columns name, and reduction keeps that, so a
+        residual whose lead is a tag column is phi_d of zero: the candidate
+        is dependent, with own D y_b a + sum co_k y_k = 0, where own is its
+        coefficient at its own tag, the last column.  In exact mode own is
+        a rational integer (each reduction step multiplies by a pivot lead,
+        which ``ExactEchelon`` keeps a rational integer, and divides by an
+        integer content), so the row of y_b a has an integer denominator
+        and nothing divides in Q(zeta).  A pivot's basis element is
+        D y_b a itself.
+        """
         scalars = self.scalars
-        d = len(self._levels)
-        dim = space.dim
-        echelons: dict = {}
-        for idx, co in self._previous_vectors():
-            for i in range(dim):
-                u = {k * dim + i: c for k, c in zip(idx, co)}
-                total = dict(u)
-                acc = u
-                for pos in range(d - 1, 0, -1):
-                    acc = _apply_psi_sparse(space, scalars, acc, pos, d)
-                    for k, c in acc.items():
-                        if k in total:
-                            total[k] = scalars.add(total[k], c)
-                        else:
-                            total[k] = c
-                items = sorted((k, c) for k, c in total.items() if scalars.nonzero(c))
-                self._insert(echelons, items, d)
-        self._levels.append(_level_of(echelons))
+        dim = self.space.dim
+        grading = self.space.grading
+        previous = self._previous_level()
+        basis = [vec for _, vectors in previous for vec in vectors]
+        candidates: dict = {}
+        key = 0
+        for block, vectors in previous:
+            for _ in vectors:
+                for a in range(dim):
+                    candidates.setdefault(tuple(sorted(block + (grading[a],))), []).append(key)
+                    key += 1
+        tag = dim * len(basis)
+        mul = [None] * tag
+        level = {}
+        count = 0
+        for block in sorted(candidates, key=repr):
+            self._check_budget(len(candidates[block]))
+            echelon = scalars.new_echelon()
+            found = []
+            for key in candidates[block]:
+                den, idx, co = self._phi(key, basis)
+                cols = [tag - 1 - k for k in idx] + [tag + count]
+                ridx, rco = echelon.reduce(cols, co + [scalars.one])
+                if ridx[0] < tag:
+                    echelon.append(ridx, rco)
+                    found.append((idx, co))
+                    mul[key] = (den, [count], [scalars.one])
+                    count += 1
+                else:
+                    mul[key] = scalars.solve(den, rco[-1], [k - tag for k in ridx[:-1]], rco[:-1])
+            if found:
+                level[block] = found
+        self._mul = mul
+        self._levels.append(level)
+
+    def _phi(self, key: int, basis) -> tuple:
+        """(D, idx, co) with phi_d(y_b a) = (1/D) sum co_k e_(idx_k), keys
+        in decreasing order, for key = b * dim + a, by the recursion
+        phi_d(x a) = x ox a + (mul ox Id)(Id ox Psi)(phi_(d-1)(x) ox a).
+        D is the least common multiple of the rows' denominators, divided
+        by its gcd with the content of the vector."""
+        scalars = self.scalars
+        dim = self.space.dim
+        targets = self.space.braid_targets
+        exps = self.space.braid_exps
+        b, a = divmod(key, dim)
+        terms = []
+        den = 1
+        if len(self._levels) > 1:
+            for k, c in zip(*basis[b]):
+                b1, a1 = divmod(k, dim)
+                pair = a1 * dim + a
+                a2, a3 = divmod(targets[pair], dim)
+                row = self._mul[b1 * dim + a2]
+                den = lcm(den, row[0])
+                terms.append((scalars.mul_zeta(c, exps[pair]), a3, row))
+        vec = {key: scalars.scale(scalars.one, den)}
+        for c, a3, (rden, ridx, rco) in terms:
+            if rden != den:
+                c = scalars.scale(c, den // rden)
+            for j, r in zip(ridx, rco):
+                t = scalars.times(c, r)
+                k = j * dim + a3
+                vec[k] = scalars.add(vec[k], t) if k in vec else t
+        items = sorted(((k, c) for k, c in vec.items() if scalars.nonzero(c)), reverse=True)
+        den, co = scalars.lowest_terms(den, [c for _, c in items])
+        return den, [k for k, _ in items], co
 
     def multidegree_dims(self, degree: int) -> dict:
         return self._ranks(degree)
@@ -543,6 +681,7 @@ class QuadraticCalculator(_Calculator):
         self._relations = [
             [(k, convert(v)) for k, v in rel.items()] for rel in quadratic_relations(space)
         ]
+        self._size_cache: dict = {}
 
     def _extend(self):
         d = len(self._levels)
@@ -553,15 +692,32 @@ class QuadraticCalculator(_Calculator):
                 self._insert(echelons, rel, 2)
         elif d > 2:
             shift = dim ** (d - 1)
-            for idx, co in self._previous_vectors():
-                for i in range(dim):
-                    base = i * shift
-                    self._insert(echelons, [(base + k, c) for k, c in zip(idx, co)], d)
+            for _, vectors in self._previous_level():
+                for idx, co in vectors:
+                    for i in range(dim):
+                        base = i * shift
+                        self._insert(echelons, [(base + k, c) for k, c in zip(idx, co)], d)
             tail = dim ** (d - 2)
             for rel in self._relations:
                 for u in range(tail):
                     self._insert(echelons, [(k * tail + u, c) for k, c in rel], d)
-        self._levels.append(_level_of(echelons))
+        self._levels.append({block: list(ech.vectors) for block, ech in echelons.items()})
+
+    def _size(self, multideg) -> int:
+        if multideg not in self._size_cache:
+            self._size_cache[multideg] = _multidegree_size(self.space, multideg)
+        return self._size_cache[multideg]
+
+    def _insert(self, echelons, vec_items, degree):
+        """Insert a vector, given as sorted (key, coefficient) pairs, into
+        the echelon of its block; every key of it lies in that block."""
+        if not vec_items:
+            return
+        block = _block_of_key(self.space, vec_items[0][0], degree)
+        self._check_budget(self._size(block))
+        if block not in echelons:
+            echelons[block] = self.scalars.new_echelon()
+        echelons[block].insert([k for k, _ in vec_items], [c for _, c in vec_items])
 
     def multidegree_dims(self, degree: int) -> dict:
         ranks = self._ranks(degree)

@@ -131,32 +131,62 @@ def test_matsumoto_reduced_word_independence(rng):
 
 
 @pytest.mark.parametrize(
-    "space_args, degrees",
-    [
-        ((2,), range(4)),
-        ((3,), range(5)),
-        ((4,), range(5)),
-        ((6, (1, 3)), range(5)),
-        ((8, (2, 7)), range(5)),
-    ],
+    "space_args",
+    [(2,), (3,), (4,), (6, (1, 3)), (8, (2, 7))],
     ids=["C2", "C3", "C4", "C6-13", "C8-27"],
 )
-def test_recursive_equals_direct(space_args, degrees):
+def test_recursive_equals_direct(space_args):
     space = diag_space(*space_args)
-    calc = sm.NicholsCalculator(space)
-    for d in degrees:
-        assert calc.graded_dim(d) == sm.direct_graded_dim(space, d), d
+    for mode in ("exact", "modular"):
+        calc = sm.NicholsCalculator(space, mode)
+        for d in range(6):
+            assert calc.graded_dim(d) == sm.direct_graded_dim(space, d, mode), (mode, d)
 
 
 def test_recursive_equals_direct_group_case(b2_space, yd_cache):
-    for space in (
-        b2_space,
-        sm.space_from_yd(yd_cache(3, 3, 2)),
-        sm.space_from_yd(yd_cache(4, 2, 2)),
+    # non-diagonal braidings: Psi permutes the letters as well as scaling them
+    for space, modes, top in (
+        (b2_space, ("exact", "modular"), 5),
+        (sm.space_from_yd(yd_cache(3, 3, 2)), ("exact", "modular"), 5),
+        (sm.space_from_yd(yd_cache(4, 2, 2)), ("exact",), 3),
     ):
-        calc = sm.NicholsCalculator(space)
-        for d in range(4):
-            assert calc.graded_dim(d) == sm.direct_graded_dim(space, d)
+        for mode in modes:
+            calc = sm.NicholsCalculator(space, mode)
+            for d in range(top + 1):
+                assert calc.graded_dim(d) == sm.direct_graded_dim(space, d, mode), (
+                    space.name, mode, d,
+                )
+
+
+@pytest.mark.parametrize(
+    "groups, top, total",
+    [
+        (((1, 1, 3), (3, 3, 2)), 4, 12),
+        (((2, 1, 2), (4, 4, 2)), 8, 64),
+        (((1, 1, 4), (2, 2, 3)), 12, 576),
+    ],
+    ids=["dim12", "dim64", "dim576"],
+)
+def test_finite_nichols_algebras_vanish_above_top_degree(groups, top, total, yd_cache):
+    # exact mode with no budget: the series sums to the dimension and
+    # B^(top+1) = 0, which bounds every higher degree too (B is generated
+    # in degree 1); FK_4 = B(Y_G(1,1,4)) has dimension 576 and top degree 12
+    for group in groups:
+        data = sm.nichols_hilbert(sm.space_from_yd(yd_cache(*group)), top + 1, block_budget=None)
+        assert data.per_degree[top] == 1 and data.per_degree[top + 1] == 0, group
+        assert sum(data.per_degree) == total, group
+
+
+@pytest.mark.parametrize(
+    "order, subset, degree",
+    [(4, (1, 2, 3), 15), (5, (1, 2), 29)],
+    ids=["C4-123", "C5-12"],
+)
+def test_nichols_series_equals_pbw_series_past_the_top(order, subset, degree):
+    braiding = dg.cyclic_braiding(order, subset)
+    data = sm.nichols_hilbert(sm.space_from_diagonal(braiding), degree, block_budget=None)
+    assert list(data.per_degree) == list(dg.pbw_hilbert_series(braiding, degree))
+    assert data.per_degree[-1] == 0
 
 
 def test_quadratic_multidegree_sums(b2_space, yd_cache):
@@ -517,11 +547,11 @@ def test_budget_error():
     with pytest.raises(sm.ResourceBudgetError) as err:
         sm.nichols_graded_dim(space, 6, block_budget=10)
     assert err.value.required > 10
-    # modular mode doubles the cap: C4 has a block of 6 tensors at degree 3,
-    # the multidegree (1, 2, 3)
+    # modular mode doubles the cap: the Nichols step of C4 has 5 candidates
+    # (basis element of B^2, letter) at degree 3 in the multidegree (1, 2, 3)
     with pytest.raises(sm.ResourceBudgetError) as err:
         sm.nichols_graded_dim(space, 3, block_budget=4)
-    assert (err.value.required, err.value.budget) == (6, 4)
+    assert (err.value.required, err.value.budget) == (5, 4)
     assert sm.nichols_graded_dim(space, 3, mode="modular", block_budget=4) == 14
     with pytest.raises(sm.ResourceBudgetError):
         sm.QuadraticCalculator(space, block_budget=4).graded_dim(3)

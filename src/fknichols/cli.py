@@ -318,10 +318,9 @@ def _add_hilbert_args(p):
         "--budget",
         type=_int_at_least(0),
         default=symmetrizer.DEFAULT_BLOCK_BUDGET,
-        help="largest block that one level step may eliminate: candidates "
-        "(basis element of the level below, letter) of one multidegree for "
-        "the Nichols series, basis tensors of one multidegree for the "
-        "quadratic cover (default %(default)s); doubled under --modular",
+        help="most candidates (basis element of the level below, letter) of "
+        "one multidegree that a level step may eliminate (default "
+        "%(default)s); doubled under --modular",
     )
 
 

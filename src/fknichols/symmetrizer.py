@@ -45,27 +45,42 @@ Level d therefore needs only phi_(d-1) of a basis of B^(d-1) and mul on
 B^(d-2) ox V: each vector has at most dim * dim B^(d-1) coordinates, where
 the image of S_d in T^d needs the blocks of V^(ox d).  The ranks are those
 of S_d over the same field, so exact mode (Z[zeta], fraction-free) and
-modular mode (F_p) share the one step of ``NicholsCalculator``.  The
-direct sum-over-permutations route, ``direct_graded_dim``, is kept as an
+modular mode (F_p) share the one step of ``_Calculator``.  The direct
+sum-over-permutations route, ``direct_graded_dim``, is kept as an
 independent oracle.  Psi acts on V^(ox d) through one sparse operator,
 ``_apply_psi_sparse``, which that oracle and ``yang_baxter_holds`` apply;
 the Nichols step needs Psi on V ox V only and reads the braiding tables.
 Coefficients are integer tuples in Z[zeta_L] or residues mod a prime.
 
-The quadratic cover T(V)/(ker(Psi + Id)) works in T^d: its ideal has
-I_0 = I_1 = 0, I_2 = R and I_d = V ox I_(d-1) + R ox V^(d-2), accumulated
-per block.  The relation space R needs no elimination: it is read off the
-cycles of the monomial braiding on V ox V (see ``quadratic_relations``).
-Both routes run on one skeleton, ``_Calculator``: a list of levels, one
-degree check, and one Hilbert loop; each route supplies only its level
-step and its rule for turning the ranks of a level into dimensions.
+The quadratic cover A = T(V)/(R), R = ker(Psi + Id) on V ox V, runs the
+same step, with [x] the class of x in A.  Its ideal I has I_0 = I_1 = 0
+and I_d = I_(d-1) ox V + T^(d-2) ox R for d >= 2: the terms
+T^i ox R ox T^j with j >= 1 lie in I_(d-1) ox V.
+
+4. Right multiplication is well defined: I_(d-1) ox V lies in I_d, so
+   mul([x] ox a) = [x a] is a map A^(d-1) ox V -> A^d, and it is onto.
+5. Its kernel is the image of A^(d-2) ox R.  As A^(d-1) ox V =
+   T^d / (I_(d-1) ox V), A^d = (A^(d-1) ox V) / image(T^(d-2) ox R).
+   That image factors through A^(d-2) ox R, because I_(d-2) ox R lies in
+   I_(d-2) ox V ox V, inside I_(d-1) ox V; and by 4 the image of y ox r,
+   r = sum r_ab a ox b, is sum r_ab mul([y] ox a) ox b.
+
+So level d first eliminates these seeds, for y in a basis of A^(d-2) and
+r in a basis of R, and then the candidates [y_b a], each as its unit
+vector: a candidate is dependent on the earlier ones exactly when its unit
+vector lies in the span of the seeds and of their unit vectors.  R needs no
+elimination: it is read off the cycles of the monomial braiding on V ox V
+(see ``quadratic_relations``).  Both routes run on one skeleton,
+``_Calculator``: one level step, one list of levels, one degree check and
+one Hilbert loop; each route supplies only the vector of a candidate and
+the seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations as _permutations
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 
 from fknichols import _linalg
 from fknichols._kernels_py import _content, _cyc_mul
@@ -358,49 +373,31 @@ def _block_of_key(space: BraidedSpace, key: int, degree: int):
     return tuple(sorted(space.grading[key // dim**k % dim] for k in range(degree)))
 
 
-def _multidegree_size(space: BraidedSpace, multideg) -> int:
-    """Number of basis tensors whose sorted label tuple equals multideg."""
-    counts: dict = {}
-    for label in multideg:
-        counts[label] = counts.get(label, 0) + 1
-    class_size: dict = {}
-    for label in space.grading:
-        class_size[label] = class_size.get(label, 0) + 1
-    total = factorial(len(multideg))
-    for label, c in counts.items():
-        total //= factorial(c)
-        total *= class_size[label] ** c
-    return total
-
-
-def _all_multidegrees(space: BraidedSpace, degree: int):
-    from itertools import combinations_with_replacement
-
-    labels = sorted(set(space.grading))
-    return [tuple(c) for c in combinations_with_replacement(labels, degree)]
-
-
 # ---------------------------------------------------------------------------
 # The calculator skeleton and the Nichols route
 
 
 class _Calculator:
-    """Level list and degree check shared by the Nichols and quadratic
-    calculators.
+    """The level step, level list and degree check shared by the Nichols
+    and quadratic calculators (see the module docstring for the proofs).
 
-    ``self._levels[d]`` maps each block (multidegree) to the list of
-    vectors found there at degree d, one per dimension of the block's
-    Nichols component (Nichols route) or of the ideal (quadratic route).  A
-    route appends level d = len(self._levels) in ``_extend`` and turns the
-    ranks of ``_ranks(d)`` into dimensions in ``multidegree_dims``;
-    ``_level`` is the one place that checks a degree.
+    Level d holds a basis y of A^d, the degree-d part of B(V) or of the
+    quadratic cover, each y an integer multiple of the class of a word.
+    ``self._levels[d][block]`` lists, for the basis elements of that block,
+    their vectors (idx, co) over the pairs (b, a) of A^(d-1) ox V, packed
+    as b * dim + a, where b numbers the basis of A^(d-1) in the order of
+    ``_previous_level``.  Level 0 holds the unit as the placeholder
+    ([0], [1]).  ``self._mul`` is the right multiplication into the last
+    level: ``self._mul[b * dim + a]`` is the row (D, idx, co) with
+    [y_b a] = (1/D) sum co_k y_(idx_k), D a positive integer (1 in modular
+    mode).  A route supplies only the vector of a candidate (``_image``)
+    and the vectors that stand for zero (``_seeds``); ``_level`` is the
+    one place that checks a degree.
 
-    ``block_budget`` bounds the vectors one block of a level step may
-    eliminate: candidates of the Nichols step, basis tensors of the
-    quadratic step.  A larger block raises ResourceBudgetError, and None
-    means no bound.  In modular mode the budget is doubled, because
-    elimination over a prime field is cheaper than over Z[zeta]: the same
-    budget admits blocks twice as large there.
+    ``block_budget`` bounds the candidates (basis element of the level
+    below, letter) of one multidegree, doubled in modular mode, where
+    elimination is cheaper; a larger block raises ResourceBudgetError, and
+    None means no bound.
     """
 
     def __init__(
@@ -415,7 +412,8 @@ class _Calculator:
         if block_budget is not None and mode == "modular":
             block_budget *= 2
         self.block_budget = block_budget
-        self._levels: list[dict] = []
+        self._levels: list[dict] = [{(): [([0], [self.scalars.one])]}]
+        self._mul: list = []
 
     def _level(self, degree: int) -> dict:
         if degree < 0:
@@ -424,73 +422,44 @@ class _Calculator:
             self._extend()
         return self._levels[degree]
 
-    def _ranks(self, degree: int) -> dict:
-        """Number of vectors per multidegree at this degree."""
+    def multidegree_dims(self, degree: int) -> dict:
+        """Number of basis vectors per multidegree at this degree."""
         return {multideg: len(vectors) for multideg, vectors in self._level(degree).items()}
 
     def graded_dim(self, degree: int) -> int:
         return sum(self.multidegree_dims(degree).values())
 
-    def _previous_level(self):
-        """The blocks of the last level with their vectors, in repr order."""
-        return sorted(self._levels[-1].items(), key=lambda kv: repr(kv[0]))
+    def _previous_level(self, back: int = 1):
+        """The blocks of the level ``back`` below the next one, with their
+        vectors, in repr order: the order that numbers its basis."""
+        return sorted(self._levels[-back].items(), key=lambda kv: repr(kv[0]))
 
     def _check_budget(self, required: int):
         if self.block_budget is not None and required > self.block_budget:
             raise ResourceBudgetError(required, self.block_budget)
 
-
-class NicholsCalculator(_Calculator):
-    """Graded dimensions of B(V), level by level in quotient coordinates
-    (see the module docstring for the proofs).
-
-    Level d holds a basis y of B^d, each y an integer multiple of the class
-    of a word.  ``self._levels[d][block]`` lists phi_d(y) for the basis
-    elements of that block, with the calculator's coefficients, over the
-    pairs (b, a) of B^(d-1) ox V, packed as b * dim + a, where b numbers the basis of
-    B^(d-1) in the order of ``_previous_level``.  Level 0 holds the unit
-    as the placeholder ([0], [1]), since phi_0 is not defined.
-    ``self._mul`` is the right multiplication into the last level:
-    ``self._mul[b * dim + a]`` is the row (D, idx, co) with
-    [y_b a] = (1/D) sum co_k y_(idx_k), D a positive integer (1 in modular
-    mode).
-
-    Level d is eliminated from the candidates y_b a, b in B^(d-1) and a in
-    V, grouped by multidegree; the block budget bounds the candidates of
-    one multidegree, and is as in ``_Calculator`` otherwise.
-    """
-
-    def __init__(
-        self,
-        space: BraidedSpace,
-        mode: str = "exact",
-        spec: ModularSpec | None = None,
-        block_budget: int | None = DEFAULT_BLOCK_BUDGET,
-    ):
-        super().__init__(space, mode, spec, block_budget)
-        self._levels.append({(): [([0], [self.scalars.one])]})
-        self._mul: list = []
-
     def _extend(self):
-        """Append level d: eliminate phi_d of the candidates block by block.
+        """Append level d: eliminate the candidates y_b a block by block.
 
-        Candidate y_b a enters its block's echelon as the vector
-        (D phi_d(y_b a), 1 at its tag column), which stands for the element
-        D y_b a of B^d.  The keys of B^(d-1) ox V go to the columns
+        The seeds enter the echelons of their blocks first.  Candidate
+        y_b a then enters its block's echelon as the vector (D v, 1 at its
+        tag column), where (D, v) is its ``_image``; it stands for the
+        element D y_b a of A^d.  The keys of A^(d-1) ox V go to the columns
         0 .. tag - 1 in decreasing order: eliminating from the largest pair
         down meets far less fill-in (G(3,3,3) to degree 6 runs about four
         times faster than with increasing columns).  The tag column,
         tag + the index the candidate takes if it is a pivot, sorts after
-        them.  Every stored vector is phi_d of the combination of basis
-        elements that its tag columns name, and reduction keeps that, so a
-        residual whose lead is a tag column is phi_d of zero: the candidate
-        is dependent, with own D y_b a + sum co_k y_k = 0, where own is its
-        coefficient at its own tag, the last column.  In exact mode own is
-        a rational integer (each reduction step multiplies by a pivot lead,
-        which ``ExactEchelon`` keeps a rational integer, and divides by an
-        integer content), so the row of y_b a has an integer denominator
-        and nothing divides in Q(zeta).  A pivot's basis element is
-        D y_b a itself.
+        them.  Modulo the span of the seeds, every stored vector is the
+        image of the combination of basis elements that its tag columns
+        name, and reduction keeps that; the image is injective modulo that
+        span, so a residual whose lead is a tag column stands for zero: the
+        candidate is dependent, with own D y_b a + sum co_k y_k = 0, where
+        own is its coefficient at its own tag, the last column.  In exact
+        mode own is a rational integer (each reduction step multiplies by a
+        pivot lead, which ``ExactEchelon`` keeps a rational integer, and
+        divides by an integer content), so the row of y_b a has an integer
+        denominator and nothing divides in Q(zeta).  A pivot's basis
+        element is D y_b a itself.
         """
         scalars = self.scalars
         dim = self.space.dim
@@ -504,16 +473,23 @@ class NicholsCalculator(_Calculator):
                 for a in range(dim):
                     candidates.setdefault(tuple(sorted(block + (grading[a],))), []).append(key)
                     key += 1
+        blocks = sorted(candidates, key=repr)
+        for block in blocks:
+            self._check_budget(len(candidates[block]))
         tag = dim * len(basis)
+        echelons: dict = {}
+        for block, idx, co in self._seeds():
+            if block not in echelons:
+                echelons[block] = scalars.new_echelon()
+            echelons[block].insert([tag - 1 - k for k in idx], co)
         mul = [None] * tag
         level = {}
         count = 0
-        for block in sorted(candidates, key=repr):
-            self._check_budget(len(candidates[block]))
-            echelon = scalars.new_echelon()
+        for block in blocks:
+            echelon = echelons.pop(block, None) or scalars.new_echelon()
             found = []
             for key in candidates[block]:
-                den, idx, co = self._phi(key, basis)
+                den, idx, co = self._image(key, basis)
                 cols = [tag - 1 - k for k in idx] + [tag + count]
                 ridx, rco = echelon.reduce(cols, co + [scalars.one])
                 if ridx[0] < tag:
@@ -528,41 +504,53 @@ class NicholsCalculator(_Calculator):
         self._mul = mul
         self._levels.append(level)
 
-    def _phi(self, key: int, basis) -> tuple:
-        """(D, idx, co) with phi_d(y_b a) = (1/D) sum co_k e_(idx_k), keys
-        in decreasing order, for key = b * dim + a, by the recursion
-        phi_d(x a) = x ox a + (mul ox Id)(Id ox Psi)(phi_(d-1)(x) ox a).
-        D is the least common multiple of the rows' denominators, divided
-        by its gcd with the content of the vector."""
+    def _vector(self, terms, key: int | None = None) -> tuple:
+        """(D, idx, co) with (1/D) sum co_k e_(idx_k), keys in decreasing
+        order, equal to e_key (if a key is given) plus the sum over the
+        terms (c, a, (D', idx', co')) of c (1/D') sum_j co'_j e_(idx'_j dim + a),
+        that is c [y a'] ox a for a row of ``_mul``.  D is the least common
+        multiple of the rows' denominators, divided by its gcd with the
+        content of the vector."""
+        scalars = self.scalars
+        dim = self.space.dim
+        den = lcm(*(row[0] for _, _, row in terms))
+        vec = {} if key is None else {key: scalars.scale(scalars.one, den)}
+        for c, a, (rden, ridx, rco) in terms:
+            if rden != den:
+                c = scalars.scale(c, den // rden)
+            for j, r in zip(ridx, rco):
+                t = scalars.times(c, r)
+                k = j * dim + a
+                vec[k] = scalars.add(vec[k], t) if k in vec else t
+        items = sorted(((k, c) for k, c in vec.items() if scalars.nonzero(c)), reverse=True)
+        den, co = scalars.lowest_terms(den, [c for _, c in items])
+        return den, [k for k, _ in items], co
+
+
+class NicholsCalculator(_Calculator):
+    """Graded dimensions of B(V), level by level in quotient coordinates:
+    the vector of y_b a is phi_d(y_b a), and there are no seeds, since
+    phi_d is injective on B^d."""
+
+    def _image(self, key: int, basis) -> tuple:
+        """phi_d(y_b a) as a ``_vector``, for key = b * dim + a, by the
+        recursion phi_d(x a) = x ox a + (mul ox Id)(Id ox Psi)(phi_(d-1)(x) ox a)."""
         scalars = self.scalars
         dim = self.space.dim
         targets = self.space.braid_targets
         exps = self.space.braid_exps
         b, a = divmod(key, dim)
         terms = []
-        den = 1
         if len(self._levels) > 1:
             for k, c in zip(*basis[b]):
                 b1, a1 = divmod(k, dim)
                 pair = a1 * dim + a
                 a2, a3 = divmod(targets[pair], dim)
-                row = self._mul[b1 * dim + a2]
-                den = lcm(den, row[0])
-                terms.append((scalars.mul_zeta(c, exps[pair]), a3, row))
-        vec = {key: scalars.scale(scalars.one, den)}
-        for c, a3, (rden, ridx, rco) in terms:
-            if rden != den:
-                c = scalars.scale(c, den // rden)
-            for j, r in zip(ridx, rco):
-                t = scalars.times(c, r)
-                k = j * dim + a3
-                vec[k] = scalars.add(vec[k], t) if k in vec else t
-        items = sorted(((k, c) for k, c in vec.items() if scalars.nonzero(c)), reverse=True)
-        den, co = scalars.lowest_terms(den, [c for _, c in items])
-        return den, [k for k, _ in items], co
+                terms.append((scalars.mul_zeta(c, exps[pair]), a3, self._mul[b1 * dim + a2]))
+        return self._vector(terms, key)
 
-    def multidegree_dims(self, degree: int) -> dict:
-        return self._ranks(degree)
+    def _seeds(self):
+        return ()
 
 
 def nichols_graded_dim(
@@ -661,13 +649,9 @@ def quadratic_relations(space: BraidedSpace) -> list[dict[int, CyclotomicNumber]
 
 
 class QuadraticCalculator(_Calculator):
-    """Graded dimensions of T(V)/(ker(Psi + Id)) via the ideal's column
-    spaces, accumulated per block: I_0 = I_1 = 0, I_2 = R and
-    I_d = V ox I_(d-1) + R ox V^(ox d-2).  The dimension in a multidegree
-    is its number of basis tensors minus the ideal's rank there.
-
-    The block budget is as in ``_Calculator``.
-    """
+    """Graded dimensions of the quadratic cover T(V)/(ker(Psi + Id)) by the
+    same level step: the vector of y_b a is its unit vector, and the seeds
+    span the image of A^(d-2) ox R in A^(d-1) ox V."""
 
     def __init__(
         self,
@@ -679,54 +663,29 @@ class QuadraticCalculator(_Calculator):
         super().__init__(space, mode, spec, block_budget)
         convert = self.scalars.from_cyclotomic
         self._relations = [
-            [(k, convert(v)) for k, v in rel.items()] for rel in quadratic_relations(space)
+            (
+                _block_of_key(space, next(iter(rel)), 2),
+                [(*divmod(k, space.dim), convert(v)) for k, v in rel.items()],
+            )
+            for rel in quadratic_relations(space)
         ]
-        self._size_cache: dict = {}
 
-    def _extend(self):
-        d = len(self._levels)
-        dim = self.space.dim
-        echelons: dict = {}
-        if d == 2:
-            for rel in self._relations:
-                self._insert(echelons, rel, 2)
-        elif d > 2:
-            shift = dim ** (d - 1)
-            for _, vectors in self._previous_level():
-                for idx, co in vectors:
-                    for i in range(dim):
-                        base = i * shift
-                        self._insert(echelons, [(base + k, c) for k, c in zip(idx, co)], d)
-            tail = dim ** (d - 2)
-            for rel in self._relations:
-                for u in range(tail):
-                    self._insert(echelons, [(k * tail + u, c) for k, c in rel], d)
-        self._levels.append({block: list(ech.vectors) for block, ech in echelons.items()})
+    def _image(self, key: int, basis) -> tuple:
+        return 1, [key], [self.scalars.one]
 
-    def _size(self, multideg) -> int:
-        if multideg not in self._size_cache:
-            self._size_cache[multideg] = _multidegree_size(self.space, multideg)
-        return self._size_cache[multideg]
-
-    def _insert(self, echelons, vec_items, degree):
-        """Insert a vector, given as sorted (key, coefficient) pairs, into
-        the echelon of its block; every key of it lies in that block."""
-        if not vec_items:
+    def _seeds(self):
+        """(block, idx, co) of sum r_ab [y_c a] ox b, as a ``_vector``, for
+        y_c in the basis of level d - 2 and r in R."""
+        if len(self._levels) < 2:
             return
-        block = _block_of_key(self.space, vec_items[0][0], degree)
-        self._check_budget(self._size(block))
-        if block not in echelons:
-            echelons[block] = self.scalars.new_echelon()
-        echelons[block].insert([k for k, _ in vec_items], [c for _, c in vec_items])
-
-    def multidegree_dims(self, degree: int) -> dict:
-        ranks = self._ranks(degree)
-        out = {}
-        for multideg in _all_multidegrees(self.space, degree):
-            dim = self._size(multideg) - ranks.get(multideg, 0)
-            if dim:
-                out[multideg] = dim
-        return out
+        dim = self.space.dim
+        c = 0
+        for block, vectors in self._previous_level(2):
+            for _ in vectors:
+                for rel_block, rel in self._relations:
+                    _, idx, co = self._vector([(r, b, self._mul[c * dim + a]) for a, b, r in rel])
+                    yield tuple(sorted(block + rel_block)), idx, co
+                c += 1
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,17 @@ def test_hilbert_compare_reports_divergence(capsys):
     assert data["divergenceDegree"] == 4
 
 
+def test_hilbert_compare_fk4_to_degree_6_within_the_default_budget(capsys):
+    code, out, _ = run_cli(
+        capsys, "hilbert", "compare", "--group", "1", "1", "4", "--max-degree", "6"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["nichols"]["perDegree"] == [1, 6, 19, 42, 71, 96, 106]
+    assert data["quadratic"]["perDegree"] == [1, 6, 19, 42, 71, 96, 106]
+    assert data["divergenceDegree"] is None
+
+
 def test_pbw_dim_cyclic_subset(capsys):
     code, out, _ = run_cli(
         capsys, "pbw", "dim", "--cyclic", "7", "--subset", "1,3"

@@ -41,7 +41,9 @@ before that change, pin that the relations themselves did not change.
 The Hilbert digests were taken while the Nichols and quadratic calculators
 each kept their own constructor, budget check and series loop.  They pin
 the Nichols, quadratic and compared series, exact and modular, of a YD
-module of G(m,p,n) and of a cyclic diagonal braiding.
+module of G(m,p,n) and of a cyclic diagonal braiding.  The two G(3,3,3)
+compare digests, the benchmark's Hilbert jobs, were taken while the
+quadratic cover was still computed from its ideal in T^d.
 
 The YD digests were taken while ``yd_module`` built each braiding entry
 from a group product and the coroot action.  They pin the
@@ -118,6 +120,8 @@ HILBERT_DIGESTS = {
     "fk hilbert --group 5 5 2 --max-degree 4 --modular": "1d6d170053e16e0def79a9515d31aa17434989c268a07c113bb7917935a7f837",
     "hilbert compare --group 2 1 2 --max-degree 4": "a25455f994264a63eca4b54f9fe5c0a3b36954a45aef4952006fb76cbbfefc1c",
     "hilbert compare --group 2 1 2 --max-degree 4 --modular": "07e86b05a1db387fa327cd4bebe80287621d52522e967d3d41f6c231d7cfd05b",
+    "hilbert compare --group 3 3 3 --max-degree 4": "d47401461b2c97b900545771d445e5ef4678e4cdc664b1b08141b5ad5ccd7053",
+    "hilbert compare --group 3 3 3 --max-degree 4 --modular": "582c12a7661d0f49a6108828bc7ba8bba39a969014432d1ca4b6b7bcf66fafd9",
 }
 
 RELATION_DIGESTS = {

@@ -197,6 +197,27 @@ def test_quadratic_multidegree_sums(b2_space, yd_cache):
             assert sum(md.values()) == calc.graded_dim(d)
 
 
+# The quadratic-cover series of ROADMAP item 6's table, measured while the
+# cover was computed from its ideal in T^d: (group, mode, series)
+QUADRATIC_TABLE = [
+    ((2, 1, 2), "exact", [1, 4, 8, 12, 16, 20, 24]),
+    ((5, 5, 2), "exact", [1, 5, 16, 45, 121, 320, 841]),
+    ((6, 6, 2), "exact", [1, 6, 21, 60, 159, 414, 1076]),
+    ((3, 1, 2), "exact", [1, 7, 32, 122, 425, 1415]),
+    ((4, 1, 2), "exact", [1, 10, 67, 382, 1996]),
+    ((1, 1, 4), "exact", [1, 6, 19, 42, 71, 96, 106]),
+    ((4, 2, 2), "modular", [1, 6, 21, 60, 156, 384, 916]),
+    ((6, 3, 2), "modular", [1, 8, 40, 168, 651, 2420]),
+]
+
+
+@pytest.mark.parametrize("group, mode, series", QUADRATIC_TABLE)
+def test_quadratic_cover_matches_the_ideal_route_table(yd_cache, group, mode, series):
+    space = sm.space_from_yd(yd_cache(*group))
+    data = sm.quadratic_hilbert(space, len(series) - 1, mode)
+    assert list(data.per_degree) == series
+
+
 @pytest.mark.parametrize("calculator", [sm.NicholsCalculator, sm.QuadraticCalculator])
 def test_negative_degree_is_rejected(calculator):
     calc = calculator(diag_space(4))
@@ -547,14 +568,16 @@ def test_budget_error():
     with pytest.raises(sm.ResourceBudgetError) as err:
         sm.nichols_graded_dim(space, 6, block_budget=10)
     assert err.value.required > 10
-    # modular mode doubles the cap: the Nichols step of C4 has 5 candidates
-    # (basis element of B^2, letter) at degree 3 in the multidegree (1, 2, 3)
+    # modular mode doubles the cap: both level steps of C4 have 5 candidates
+    # (basis element of the level below, letter) at degree 3 in the
+    # multidegree (1, 2, 3)
     with pytest.raises(sm.ResourceBudgetError) as err:
         sm.nichols_graded_dim(space, 3, block_budget=4)
     assert (err.value.required, err.value.budget) == (5, 4)
     assert sm.nichols_graded_dim(space, 3, mode="modular", block_budget=4) == 14
-    with pytest.raises(sm.ResourceBudgetError):
+    with pytest.raises(sm.ResourceBudgetError) as err:
         sm.QuadraticCalculator(space, block_budget=4).graded_dim(3)
+    assert (err.value.required, err.value.budget) == (5, 4)
     assert sm.QuadraticCalculator(space, mode="modular", block_budget=4).graded_dim(3) == 16
     small = diag_space(2)
     assert sm.nichols_graded_dim(small, 2, block_budget=1) == 0  # blocks of size 1

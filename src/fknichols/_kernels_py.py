@@ -200,35 +200,60 @@ def _content(co_list):
     return g
 
 
+def _scaled(m, co, phi, red):
+    """The entries of ``co`` multiplied by the nonzero element m of Z[zeta]:
+    ``co`` itself when m = 1, one integer product per coordinate when m is
+    another rational integer, and ``_cyc_mul`` only for a non-rational m."""
+    if any(m[1:]):
+        return [_cyc_mul(m, c, phi, red) for c in co]
+    n = m[0]
+    if n == 1:
+        return co
+    return [tuple([n * x for x in c]) for c in co]
+
+
 def combine_exact(amul, aidx, aco, bmul, bidx, bco, phi, red):
     """Sparse combination amul*A - bmul*B over Z[zeta], content-stripped.
 
-    Returns (idx, co) with zero entries dropped.
+    A = (aidx, aco) and B = (bidx, bco) must be zero-free (no entry is the
+    zero tuple) and amul, bmul nonzero; ``ExactEchelon`` keeps both.  Each
+    vector is scaled once, by amul and by -bmul (``_scaled``: 1 copies
+    nothing, any other rational integer costs phi products per entry, and
+    only a non-rational multiplier pays a full ``_cyc_mul``).  Z[zeta] is a
+    domain, so a key held by one vector keeps a nonzero entry; only a key
+    held by both is summed and tested for zero.  Returns (idx, co) with
+    zero entries dropped, divided by the integer content of co.
     """
+    sa = _scaled(amul, aco, phi, red)
+    sb = _scaled(tuple([-x for x in bmul]), bco, phi, red)
     na, nb = len(aidx), len(bidx)
     ia = ib = 0
     idx_out = []
     co_out = []
-    while ia < na or ib < nb:
-        if ib >= nb or (ia < na and aidx[ia] < bidx[ib]):
-            c = _cyc_mul(amul, aco[ia], phi, red)
-            pos = aidx[ia]
+    while ia < na and ib < nb:
+        ka = aidx[ia]
+        kb = bidx[ib]
+        if ka < kb:
+            idx_out.append(ka)
+            co_out.append(sa[ia])
             ia += 1
-        elif ia >= na or bidx[ib] < aidx[ia]:
-            t = _cyc_mul(bmul, bco[ib], phi, red)
-            c = tuple(-x for x in t)
-            pos = bidx[ib]
+        elif kb < ka:
+            idx_out.append(kb)
+            co_out.append(sb[ib])
             ib += 1
         else:
-            ca = _cyc_mul(amul, aco[ia], phi, red)
-            cb = _cyc_mul(bmul, bco[ib], phi, red)
-            c = tuple(x - y for x, y in zip(ca, cb))
-            pos = aidx[ia]
+            c = tuple([x + y for x, y in zip(sa[ia], sb[ib])])
+            if any(c):
+                idx_out.append(ka)
+                co_out.append(c)
             ia += 1
             ib += 1
-        if any(c):
-            idx_out.append(pos)
-            co_out.append(c)
+    if ia < na:
+        idx_out.extend(aidx[ia:])
+        co_out.extend(sa[ia:])
+    elif ib < nb:
+        idx_out.extend(bidx[ib:])
+        co_out.extend(sb[ib:])
     g = _content(co_out)
     if g > 1:
         co_out = [tuple(x // g for x in c) for c in co_out]

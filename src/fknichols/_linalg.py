@@ -55,9 +55,12 @@ class ExactEchelon:
     Without it the coefficients grow with every level: each level is built
     from the last one's pivots and multiplied by further Z[zeta] leads
     (for C8 (1,4) to degree 12 they reached 25,648 bits).  With it a
-    reduction multiplies by an integer lead, which costs phi steps in
-    ``_cyc_mul`` instead of phi**2.  Nothing is done when phi = 1 or the
-    lead is already rational.
+    reduction step multiplies the incoming vector by a pivot's integer
+    lead, which ``combine_exact`` does with one integer product per
+    coordinate, or not at all when the lead is 1; only the incoming lead,
+    which multiplies the pivot, may need a full ``_cyc_mul``, and it too
+    is often +-1.  Nothing is done when phi = 1 or the lead is already
+    rational.
     """
 
     def __init__(self, conductor: int):

@@ -9,6 +9,9 @@
 * The first failing prefix of the sweep's heuristic words s_j s_i s_p on
   the full cyclic braiding, found by reflecting whole diagrams, used to
   cross-check the sweep heuristic.
+* The sparse Z[zeta] combination kernel as it was before it special-cased
+  rational-integer multipliers: every entry goes through ``_cyc_mul`` and is
+  tested for zero.  The tests compare ``combine_exact`` against it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from itertools import islice
 from math import gcd
 
+from fknichols._kernels_py import _content, _cyc_mul
 from fknichols.cyclotomic import RootOfUnity
 from fknichols.reflection_groups import GroupParams, Reflection
 
@@ -390,3 +394,38 @@ def heuristic_witness(n: int, cap: int):
                 after[prefix] = new
             obj = new
     return None
+
+
+def combine_exact(amul, aidx, aco, bmul, bidx, bco, phi, red):
+    """Sparse combination amul*A - bmul*B over Z[zeta], content-stripped.
+
+    Returns (idx, co) with zero entries dropped.
+    """
+    na, nb = len(aidx), len(bidx)
+    ia = ib = 0
+    idx_out = []
+    co_out = []
+    while ia < na or ib < nb:
+        if ib >= nb or (ia < na and aidx[ia] < bidx[ib]):
+            c = _cyc_mul(amul, aco[ia], phi, red)
+            pos = aidx[ia]
+            ia += 1
+        elif ia >= na or bidx[ib] < aidx[ia]:
+            t = _cyc_mul(bmul, bco[ib], phi, red)
+            c = tuple(-x for x in t)
+            pos = bidx[ib]
+            ib += 1
+        else:
+            ca = _cyc_mul(amul, aco[ia], phi, red)
+            cb = _cyc_mul(bmul, bco[ib], phi, red)
+            c = tuple(x - y for x, y in zip(ca, cb))
+            pos = aidx[ia]
+            ia += 1
+            ib += 1
+        if any(c):
+            idx_out.append(pos)
+            co_out.append(c)
+    g = _content(co_out)
+    if g > 1:
+        co_out = [tuple(x // g for x in c) for c in co_out]
+    return idx_out, co_out

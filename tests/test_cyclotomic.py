@@ -7,7 +7,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from conftest import echelon_vector
+from fknichols import backend, cyclotomic
+from fknichols._kernels_py import combine_exact
 from fknichols._linalg import ExactEchelon, ModularEchelon, rref_fraction
 from fknichols._numtheory import euler_phi
 from fknichols.cyclotomic import (
@@ -281,12 +284,12 @@ def _regular_representation(x):
 
 
 @st.composite
-def low_rank_matrices(draw):
+def low_rank_matrices(draw, conductors=NORM_CONDUCTORS, size=4):
     """A product of random (rows x inner) and (inner x cols) matrices over
-    Z[zeta] with small entries, so ranks below full occur and leads are
-    rarely rational."""
-    conductor = draw(st.sampled_from(NORM_CONDUCTORS))
-    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    Z[zeta] with small entries and at most ``size`` rows, inner and columns,
+    so ranks below full occur and leads are rarely rational."""
+    conductor = draw(st.sampled_from(conductors))
+    rows, inner, cols = (draw(st.integers(1, size)) for _ in range(3))
 
     def matrix(r, c):
         return [
@@ -317,3 +320,89 @@ def test_exact_rank_matches_fraction_oracle(mat):
     q_rank = len(rref_fraction(flat)[1])
     assert q_rank % phi == 0
     assert _exact_rank(mat) == q_rank // phi
+
+
+KERNEL_CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 12)
+
+
+def _kernel_args(conductor, amul, a, bmul, b):
+    phi = euler_phi(conductor)
+    return amul, *a, bmul, *b, phi, cyclotomic.reduction_rows(conductor)
+
+
+@st.composite
+def combine_cases(draw):
+    """Zero-free sparse vectors A, B over Z[zeta] and nonzero multipliers:
+    1, -1, other rational integers or any nonzero element.  B copies some of
+    A's entries, and bmul sometimes equals amul, so entries cancel."""
+    conductor = draw(st.sampled_from(KERNEL_CONDUCTORS))
+    phi = euler_phi(conductor)
+    nonzero = _small_tuples(conductor)
+
+    def multiplier():
+        n = draw(st.sampled_from([1, -1, 2, -3, 7, None]))
+        return draw(nonzero) if n is None else (n,) + (0,) * (phi - 1)
+
+    def keys():
+        return sorted(draw(st.sets(st.integers(0, 15), max_size=10)))
+
+    aidx, bidx = keys(), keys()
+    aco = [draw(nonzero) for _ in aidx]
+    a_at = dict(zip(aidx, aco))
+    bco = [a_at[k] if k in a_at and draw(st.booleans()) else draw(nonzero) for k in bidx]
+    amul = multiplier()
+    bmul = amul if draw(st.booleans()) else multiplier()
+    return conductor, amul, (aidx, aco), bmul, (bidx, bco)
+
+
+@settings(max_examples=400, deadline=None)
+@given(combine_cases())
+def test_combine_exact_matches_the_reference_kernel(case):
+    args = _kernel_args(*case)
+    idx, co = combine_exact(*args)
+    assert (idx, co) == _oracles.combine_exact(*args)
+    assert all(any(c) for c in co)
+
+
+EDGE_VECTORS = [
+    (([], []), ([], [])),
+    (([], []), ([0, 3], [(2,), (-1,)])),
+    (([1, 4], [(3,), (5,)]), ([], [])),
+    (([0, 2], [(1,), (4,)]), ([1, 5, 6], [(2,), (-2,), (7,)])),
+    (([4, 5], [(1,), (4,)]), ([0, 1], [(2,), (-3,)])),
+]
+
+
+@pytest.mark.parametrize("conductor", KERNEL_CONDUCTORS)
+def test_combine_exact_on_empty_and_disjoint_vectors(conductor):
+    phi = euler_phi(conductor)
+
+    def pad(co):
+        return [c + (0,) * (phi - 1) for c in co]
+
+    def mul(n, default):
+        return default[:phi] if n is None else (n,) + (0,) * (phi - 1)
+
+    for a, b in EDGE_VECTORS:
+        a, b = (a[0], pad(a[1])), (b[0], pad(b[1]))
+        for amul, bmul in [(1, 1), (-1, 6), (2, -1), (None, None)]:
+            amul, bmul = mul(amul, (1, 2, 0, -1)), mul(bmul, (3, -1, 3, 1))
+            args = _kernel_args(conductor, amul, a, bmul, b)
+            assert combine_exact(*args) == _oracles.combine_exact(*args), args
+
+
+@settings(max_examples=60, deadline=None)
+@given(low_rank_matrices(KERNEL_CONDUCTORS, size=6))
+def test_echelon_is_the_same_under_the_reference_kernel(mat):
+    def echelon():
+        ech = ExactEchelon(mat[0][0].conductor)
+        for j in range(len(mat[0])):
+            ech.insert(*echelon_vector((i, row[j]) for i, row in enumerate(mat)))
+        return ech
+
+    new = echelon()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backend, "combine_exact", _oracles.combine_exact)
+        old = echelon()
+    assert new.leads == old.leads
+    assert new.vectors == old.vectors

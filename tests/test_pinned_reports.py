@@ -43,7 +43,10 @@ each kept their own constructor, budget check and series loop.  They pin
 the Nichols, quadratic and compared series, exact and modular, of a YD
 module of G(m,p,n) and of a cyclic diagonal braiding.  The two G(3,3,3)
 compare digests, the benchmark's Hilbert jobs, were taken while the
-quadratic cover was still computed from its ideal in T^d.
+quadratic cover was still computed from its ideal in T^d.  The exact
+C8 (1,4) series to degree 12, the benchmark's other exact job and its case
+of non-rational leads at phi = 4, was pinned while the exact combination
+kernel still multiplied every entry through ``_cyc_mul``.
 
 The YD digests were taken while ``yd_module`` built each braiding entry
 from a group product and the coroot action.  They pin the
@@ -116,6 +119,7 @@ SWEEP_DIGESTS = {
 HILBERT_DIGESTS = {
     "nichols hilbert --group 2 1 2 --max-degree 4": "e3fc40ac13f52587016582e959621407bd9e31466847ef1a9ca785fe9d465949",
     "nichols hilbert --cyclic 8 --subset 2,7 --max-degree 6": "da776acffe5afa63a4cf323206afc256e42ed9343057c76bd273b48246ce4280",
+    "nichols hilbert --cyclic 8 --subset 1,4 --max-degree 12": "c4320ff7b8a33daccd67dd216d16f1ddc57150380a3d845d883a18bf4396fdeb",
     "fk hilbert --group 5 5 2 --max-degree 4": "4a3e0ae99852893a9803c7a51bff50a127c46861a0a7d3d527ecc8a71ca1fa8d",
     "fk hilbert --group 5 5 2 --max-degree 4 --modular": "1d6d170053e16e0def79a9515d31aa17434989c268a07c113bb7917935a7f837",
     "hilbert compare --group 2 1 2 --max-degree 4": "a25455f994264a63eca4b54f9fe5c0a3b36954a45aef4952006fb76cbbfefc1c",

@@ -1,5 +1,4 @@
-"""Exact and modular echelon bases for sparse vectors, plus the dense
-rational oracle they are tested against.
+"""Exact and modular echelon bases for sparse vectors.
 
 The echelon classes implement incremental rank computation: vectors are
 inserted one at a time and reduced against the pivots found so far.
@@ -8,16 +7,13 @@ caller that reads the residual of a dependent vector calls the two
 itself.  Exact vectors carry integer cyclotomic coefficients
 (fraction-free elimination with content stripping), modular vectors
 single residues.  Every rank in the package goes through them; nothing in
-the package divides in Q(zeta).
-
-``rref_fraction`` is dense elimination over Q, used only by the tests as
-the oracle for the echelon ranks.
+the package divides in Q(zeta).  The tests check them against dense
+elimination over Q, ``rref_fraction`` in ``tests/_oracles.py``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 
 from fknichols import backend, cyclotomic
 from fknichols._kernels_py import _content, _cyc_mul
@@ -154,29 +150,3 @@ class ModularEchelon:
         pos = bisect_left(self.leads, idx[0])
         self.leads.insert(pos, idx[0])
         self.vectors.insert(pos, (idx, co))
-
-
-def rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rref rows, pivot columns)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = Fraction(1, 1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots

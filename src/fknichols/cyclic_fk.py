@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 from math import gcd, prod
@@ -397,7 +396,13 @@ def sweep_groupoid_existence(
         if checkpoint and fresh:
             _append_checkpoint(checkpoint, entry)
 
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # imported here: it pulls in multiprocessing, which a run with one
+        # worker never needs
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
     pending: list = []  # (n, future) in ascending n order
 
     def flush(upto: int | None = None) -> None:

@@ -74,6 +74,28 @@ elimination: it is read off the cycles of the monomial braiding on V ox V
 ``_Calculator``: one level step, one list of levels, one degree check and
 one Hilbert loop; each route supplies only the vector of a candidate and
 the seeds.
+
+``hilbert_compare`` runs both calculators in lockstep, and the cover reuses
+the Nichols levels while the two series agree.  B(V) is a quotient of A:
+S_2 = Id + Psi kills R, and ker S is an ideal, so (R) lies in ker S, over
+Q(zeta) and over F_p alike.
+
+6. The surjection.  A -> B(V) is onto and keeps the multidegree.  Suppose
+   A^(d-1) = B^(d-1) and A^(d-2) = B^(d-2), with the Nichols bases and mul
+   (the cover has adopted both levels).  Then by 5, block by block,
+   A^d = (B^(d-1) ox V) / span(seeds), and the seeds, being zero in A,
+   lie in the kernel K of mul: B^(d-1) ox V -> B^d.  mul is onto (2), so
+   dim K = candidates - dim B^d.  Hence dim A^d = dim B^d in a block
+   exactly when the seeds of that block span K, and then A^d = B^d as
+   quotients of B^(d-1) ox V: the Nichols basis of B^d and its mul rows
+   serve A^d as they are.
+7. The early stop and the hand-over.  A block's seeds span a subspace of K,
+   so once their rank reaches dim K every further seed of that block is
+   dependent, and the block takes no more.  If every block reaches dim K,
+   the cover adopts level d of B(V) and eliminates no candidate.  If one
+   falls short, A^d != B^d; each full block's echelon already spans the
+   image of all its seeds, so the cover's own candidate phase runs on the
+   echelons as they are, and from level d on it runs alone.
 """
 
 from __future__ import annotations
@@ -392,7 +414,9 @@ class _Calculator:
     [y_b a] = (1/D) sum co_k y_(idx_k), D a positive integer (1 in modular
     mode).  A route supplies only the vector of a candidate (``_image``)
     and the vectors that stand for zero (``_seeds``); ``_level`` is the
-    one place that checks a degree.
+    one place that checks a degree.  ``self._quotient`` is None, or, in the
+    cover of ``hilbert_compare``, the Nichols calculator whose levels this
+    one has adopted so far (points 6 and 7).
 
     ``block_budget`` bounds the candidates (basis element of the level
     below, letter) of one multidegree, doubled in modular mode, where
@@ -414,6 +438,7 @@ class _Calculator:
         self.block_budget = block_budget
         self._levels: list[dict] = [{(): [([0], [self.scalars.one])]}]
         self._mul: list = []
+        self._quotient: _Calculator | None = None
 
     def _level(self, degree: int) -> dict:
         if degree < 0:
@@ -441,7 +466,11 @@ class _Calculator:
     def _extend(self):
         """Append level d: eliminate the candidates y_b a block by block.
 
-        The seeds enter the echelons of their blocks first.  Candidate
+        The seeds enter the echelons of their blocks first.  While the
+        levels so far are those of ``_quotient`` and it holds level d, a
+        block takes seeds only until their rank reaches the kernel of
+        A^(d-1) ox V -> B^d, and if every block reaches it, level d is
+        adopted and no candidate is eliminated (point 7).  Candidate
         y_b a then enters its block's echelon as the vector (D v, 1 at its
         tag column), where (D, v) is its ``_image``; it stands for the
         element D y_b a of A^d.  The keys of A^(d-1) ox V go to the columns
@@ -477,11 +506,29 @@ class _Calculator:
         for block in blocks:
             self._check_budget(len(candidates[block]))
         tag = dim * len(basis)
+        # room[block]: the dimension of the kernel the seeds have yet to span
+        quotient = self._quotient
+        room = None
+        if quotient is not None and len(quotient._levels) == len(self._levels) + 1:
+            target = quotient._levels[-1]
+            room = {
+                block: len(keys) - len(target.get(block, ()))
+                for block, keys in candidates.items()
+            }
         echelons: dict = {}
-        for block, idx, co in self._seeds():
+        for block, terms in self._seeds():
+            if room is not None and not room.get(block):
+                continue
+            _, idx, co = self._vector(terms)
             if block not in echelons:
                 echelons[block] = scalars.new_echelon()
-            echelons[block].insert([tag - 1 - k for k in idx], co)
+            if echelons[block].insert([tag - 1 - k for k in idx], co) and room is not None:
+                room[block] -= 1
+        if room is not None and not any(room.values()):
+            self._levels.append(target)
+            self._mul = quotient._mul
+            return
+        self._quotient = None
         mul = [None] * tag
         level = {}
         count = 0
@@ -674,8 +721,8 @@ class QuadraticCalculator(_Calculator):
         return 1, [key], [self.scalars.one]
 
     def _seeds(self):
-        """(block, idx, co) of sum r_ab [y_c a] ox b, as a ``_vector``, for
-        y_c in the basis of level d - 2 and r in R."""
+        """(block, terms) of sum r_ab [y_c a] ox b, as the terms of a
+        ``_vector``, for y_c in the basis of level d - 2 and r in R."""
         if len(self._levels) < 2:
             return
         dim = self.space.dim
@@ -683,8 +730,8 @@ class QuadraticCalculator(_Calculator):
         for block, vectors in self._previous_level(2):
             for _ in vectors:
                 for rel_block, rel in self._relations:
-                    _, idx, co = self._vector([(r, b, self._mul[c * dim + a]) for a, b, r in rel])
-                    yield tuple(sorted(block + rel_block)), idx, co
+                    terms = [(r, b, self._mul[c * dim + a]) for a, b, r in rel]
+                    yield tuple(sorted(block + rel_block)), terms
                 c += 1
 
 
@@ -701,16 +748,18 @@ class HilbertData:
     per_multidegree: dict
 
 
+def _series(levels: list[dict]) -> HilbertData:
+    """HilbertData of the ``multidegree_dims`` of degrees 0 .. len - 1."""
+    per_multi: dict = {}
+    for dims in levels:
+        per_multi.update(dims)
+    return HilbertData(len(levels) - 1, tuple(sum(dims.values()) for dims in levels), per_multi)
+
+
 def _hilbert(calc: _Calculator, max_degree: int) -> HilbertData:
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    per_degree = []
-    per_multi: dict = {}
-    for d in range(max_degree + 1):
-        dims = calc.multidegree_dims(d)
-        per_degree.append(sum(dims.values()))
-        per_multi.update(dims)
-    return HilbertData(max_degree, tuple(per_degree), per_multi)
+    return _series([calc.multidegree_dims(d) for d in range(max_degree + 1)])
 
 
 def nichols_hilbert(
@@ -748,11 +797,34 @@ def hilbert_compare(
     block_budget: int | None = DEFAULT_BLOCK_BUDGET,
 ) -> HilbertComparison:
     """Both graded series through max_degree and the first degree where the
-    quadratic cover strictly exceeds the Nichols algebra (None if none)."""
+    quadratic cover strictly exceeds the Nichols algebra (None if none).
+
+    The two calculators run in lockstep, one degree at a time, and the
+    cover adopts each Nichols level while the two agree (points 6 and 7 of
+    the module docstring); its own step takes over from the first level
+    that differs.  The series are those of ``nichols_hilbert`` and
+    ``quadratic_hilbert``, and so are the errors: a ResourceBudgetError of
+    the Nichols series is raised at once, and one of the cover is held
+    until the Nichols series has reached max_degree, then raised."""
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
-    nich = nichols_hilbert(space, max_degree, mode, spec, block_budget)
-    quad = quadratic_hilbert(space, max_degree, mode, spec, block_budget)
+    nichols = NicholsCalculator(space, mode, spec, block_budget)
+    cover = QuadraticCalculator(space, mode, spec, block_budget)
+    cover._quotient = nichols
+    nich_levels: list[dict] = []
+    quad_levels: list[dict] = []
+    held = None
+    for d in range(max_degree + 1):
+        nich_levels.append(nichols.multidegree_dims(d))
+        if held is None:
+            try:
+                quad_levels.append(cover.multidegree_dims(d))
+            except ResourceBudgetError as err:
+                held = err
+    if held is not None:
+        raise held
+    nich = _series(nich_levels)
+    quad = _series(quad_levels)
     divergence = None
     for d in range(max_degree + 1):
         if nich.per_degree[d] != quad.per_degree[d]:

@@ -12,10 +12,13 @@
 * The sparse Z[zeta] combination kernel as it was before it special-cased
   rational-integer multipliers: every entry goes through ``_cyc_mul`` and is
   tested for zero.  The tests compare ``combine_exact`` against it.
+* Dense reduced row echelon form over Q, the oracle for the echelon ranks
+  of ``_linalg`` and for the symmetrizer's ranks.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import islice
 from math import gcd
 
@@ -429,3 +432,29 @@ def combine_exact(amul, aidx, aco, bmul, bidx, bco, phi, red):
     if g > 1:
         co_out = [tuple(x // g for x in c) for c in co_out]
     return idx_out, co_out
+
+
+def rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q; returns (rref rows, pivot columns)."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = Fraction(1, 1) / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import time
 from concurrent.futures import Future
@@ -232,7 +233,8 @@ class _InlinePool:
 
 
 def test_sweep_starts_at_most_cpu_count_workers(monkeypatch, capsys):
-    monkeypatch.setattr(cli.cyclic_fk, "ProcessPoolExecutor", _InlinePool)
+    # the sweep imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(cli.cyclic_fk.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(_InlinePool, "started", [])
     code, out, _ = run_cli(capsys, "groupoid", "sweep", "--max", "10", "--jobs", "5000")

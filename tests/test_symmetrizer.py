@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _oracles import rref_fraction
 from conftest import echelon_vector
 from fknichols import diagonal as dg
 from fknichols import reflection_groups as rg
@@ -364,7 +365,6 @@ def test_multidegree_specialization(b2_space):
 
 def _full_matrix_rank_fraction(space, degree):
     """Independent oracle: dense RREF rank of the whole symmetrizer."""
-    from fknichols._linalg import rref_fraction
     from fractions import Fraction
 
     L = space.scalar_order
@@ -464,7 +464,6 @@ def test_dihedral_quadratic_series(yd_cache):
 def _ideal_rank_fraction(space, degree):
     """Independent oracle for the quadratic ideal: dense RREF of the span of
     all V^i ox R ox V^(d-2-i)."""
-    from fknichols._linalg import rref_fraction
     from fractions import Fraction
     from fknichols._numtheory import euler_phi
 
@@ -535,6 +534,90 @@ def test_nichols_bounded_by_quadratic(b2_space, yd_cache):
         for d in range(maxd + 1):
             assert cmp.nichols.per_degree[d] <= cmp.quadratic.per_degree[d]
         assert cmp.nichols.per_degree[:3] == cmp.quadratic.per_degree[:3]
+
+
+# (group (m, p, n) or cyclic (n, subset), max degree, divergence degree)
+COMPARE_INPUTS = [
+    ((3, 1, 2), 4, 3),
+    ((5, (1, 2)), 5, 3),
+    ((2, 1, 2), 5, 4),
+    ((4, 4, 2), 5, 4),
+    ((5, 5, 2), 5, 4),
+    ((8, (1, 4)), 6, 5),
+    ((10, (1, 5)), 7, 6),
+    ((1, 1, 3), 5, None),
+    ((3, 3, 2), 5, None),
+    ((2, 2, 3), 5, None),
+    ((1, 1, 4), 6, None),
+]
+
+
+def _compare_space(source, yd_cache):
+    if len(source) == 3:
+        return sm.space_from_yd(yd_cache(*source))
+    return diag_space(*source)
+
+
+@pytest.mark.parametrize("mode", ["exact", "modular"])
+@pytest.mark.parametrize("source, max_degree, divergence", COMPARE_INPUTS, ids=str)
+def test_compare_series_equal_the_standalone_series(
+    yd_cache, source, max_degree, divergence, mode
+):
+    """The cover of ``hilbert_compare`` adopts the Nichols levels up to the
+    divergence and runs its own step from there; both series must equal
+    those computed alone."""
+    space = _compare_space(source, yd_cache)
+    cmp = sm.hilbert_compare(space, max_degree, mode)
+    assert cmp.divergence_degree == divergence
+    assert cmp.nichols == sm.nichols_hilbert(space, max_degree, mode)
+    assert cmp.quadratic == sm.quadratic_hilbert(space, max_degree, mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "modular"])
+@pytest.mark.parametrize(
+    "group, max_degree, adopted",
+    [((3, 3, 3), 4, 4), ((2, 1, 2), 5, 3)],
+    ids=["G333", "G212"],
+)
+def test_compare_cover_adopts_the_nichols_levels_while_they_agree(
+    yd_cache, monkeypatch, group, max_degree, adopted, mode
+):
+    made = []
+    init = sm._Calculator.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(sm._Calculator, "__init__", record)
+    sm.hilbert_compare(sm.space_from_yd(yd_cache(*group)), max_degree, mode)
+    nichols, cover = made
+    shared = [d for d in range(1, max_degree + 1) if cover._levels[d] is nichols._levels[d]]
+    assert shared == list(range(1, adopted + 1))
+    assert (cover._quotient is nichols) == (adopted == max_degree)
+
+
+def test_compare_raises_the_standalone_budget_errors():
+    """The cover of C5 (1,2) exceeds a budget of 7 at degree 5 (10
+    candidates), the Nichols series only at degree 6 (8 candidates); the
+    compare must raise the Nichols error, as when the series ran one after
+    the other, and the cover's only when the Nichols series raises none."""
+    space = diag_space(5, (1, 2))
+
+    def error(series, mode, budget):
+        try:
+            series(space, 8, mode, block_budget=budget)
+        except sm.ResourceBudgetError as err:
+            return err.required, err.budget
+        return None
+
+    assert error(sm.hilbert_compare, "exact", 7) == (8, 7)
+    for mode in ("exact", "modular"):
+        for budget in range(1, 14):
+            expected = error(sm.nichols_hilbert, mode, budget) or error(
+                sm.quadratic_hilbert, mode, budget
+            )
+            assert error(sm.hilbert_compare, mode, budget) == expected, (mode, budget)
 
 
 def test_modular_mode_matches_exact(b2_space):

@@ -12,8 +12,8 @@ Conventions:
 * Exact sparse vectors over the ring Z[zeta] are pairs ``(idx, co)`` where
   ``idx`` is a strictly increasing list of ints and ``co`` a parallel list
   of coefficient tuples of length phi (the degree of the cyclotomic ring).
-  ``red`` is the reduction table: ``red[k]`` gives the coefficient tuple of
-  ``x**(phi+k)`` reduced mod the cyclotomic polynomial.
+  ``ring`` is the ``ZetaRing`` of the conductor: every product in Z[zeta]
+  goes through it (``_cyc_mul``).
 """
 
 from __future__ import annotations
@@ -168,25 +168,98 @@ def scan_bad_reflection(diag, edge, n_mod):
     return None
 
 
-def _cyc_mul(a, b, phi, red):
-    """Product of two coefficient tuples mod the cyclotomic polynomial."""
-    if phi == 1:
-        return (a[0] * b[0],)
-    conv = [0] * (2 * phi - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    conv[i + j] += ai * bj
-    out = conv[:phi]
-    for k in range(phi, 2 * phi - 1):
-        v = conv[k]
-        if v:
-            rk = red[k - phi]
-            for m in range(phi):
-                if rk[m]:
-                    out[m] += v * rk[m]
-    return tuple(out)
+def matrix_from_columns(cols):
+    """The matrix with these columns as the product kernel reads it: one
+    flat tuple, column by column."""
+    return tuple([x for col in cols for x in col])
+
+
+def mul_matrix(m, phi, top):
+    """The phi x phi integer matrix of c -> m c on the power basis.  Column
+    k is m x^k: the column before it times x, a shift whose overflow
+    coefficient at x^phi is replaced by that multiple of ``top``, the
+    tuple of x^phi."""
+    cols = [m]
+    for _ in range(phi - 1):
+        col = cols[-1]
+        carry = col[-1]
+        col = [0, *col[:-1]]
+        if carry:
+            col = [x + carry * t for x, t in zip(col, top)]
+        cols.append(col)
+    return matrix_from_columns(cols)
+
+
+_PRODUCT_KERNELS: dict = {}
+
+
+def _product_kernel(phi):
+    """kernel(matrix, co): the list of the products matrix * c for the
+    tuples c in co, as unrolled code for this phi, compiled on first use.
+    The matrix entries are unpacked once per call into locals; each
+    product adds c_j times column j for the nonzero coordinates c_j only,
+    so an entry costs phi tests and phi products per nonzero coordinate
+    (the power-basis tuples of roots of unity have one to a few).  A plain
+    loop, not a comprehension, keeps the entries locals: a comprehension
+    makes phi^2 closure cells, which compile far slower."""
+    kernel = _PRODUCT_KERNELS.get(phi)
+    if kernel is None:
+        r = range(phi)
+        lines = [
+            "def kernel(m, co):",
+            "    " + "".join(f"m{i}_{j}, " for j in r for i in r) + "= m",
+            "    out = []",
+            "    append = out.append",
+            "    for " + "".join(f"c{j}, " for j in r) + "in co:",
+            "        " + " = ".join(f"r{i}" for i in r) + " = 0",
+        ]
+        for j in r:
+            lines.append(f"        if c{j}:")
+            lines += [f"            r{i} += m{i}_{j} * c{j}" for i in r]
+        lines += ["        append((" + "".join(f"r{i}, " for i in r) + "))", "    return out\n"]
+        namespace: dict = {}
+        exec("\n".join(lines), namespace)
+        kernel = _PRODUCT_KERNELS[phi] = namespace["kernel"]
+    return kernel
+
+
+class ZetaRing:
+    """Products in Z[zeta] at one conductor n, built from ``powers``, the
+    tuples of zeta^k for k = 0 .. n-1.
+
+    A product always multiplies by a fixed factor m: ``matrix(m)`` is the
+    matrix of c -> m c (``mul_matrix``) and ``kernel`` applies it to a list
+    of tuples.  The matrices of the signed roots of unity +-zeta^k, the
+    factors of almost every product, are kept once built; there are at most
+    2n of them, and a ring belongs to one conductor, so a table never mixes
+    the matrices of two conductors with the same phi.
+    """
+
+    __slots__ = ("conductor", "phi", "top", "kernel", "_roots", "_units")
+
+    def __init__(self, powers):
+        self.conductor = len(powers)
+        self.phi = len(powers[0])
+        self.top = powers[self.phi % self.conductor]
+        self.kernel = _product_kernel(self.phi)
+        self._roots = frozenset(powers) | frozenset(tuple([-x for x in z]) for z in powers)
+        self._units: dict = {}
+
+    def matrix(self, m):
+        """The matrix of c -> m c (kept when m is a signed root of unity)."""
+        mat = self._units.get(m)
+        if mat is None:
+            mat = mul_matrix(m, self.phi, self.top)
+            if m in self._roots:
+                self._units[m] = mat
+        return mat
+
+
+def _cyc_mul(m, co, ring):
+    """The products m c in Z[zeta] for the coefficient tuples c in ``co``,
+    through the matrix of the fixed factor m: the one product of the
+    package."""
+    return ring.kernel(ring.matrix(m), co)
 
 
 def _content(co_list):
@@ -200,32 +273,34 @@ def _content(co_list):
     return g
 
 
-def _scaled(m, co, phi, red):
+def _scaled(m, co, ring):
     """The entries of ``co`` multiplied by the nonzero element m of Z[zeta]:
     ``co`` itself when m = 1, one integer product per coordinate when m is
-    another rational integer, and ``_cyc_mul`` only for a non-rational m."""
+    another rational integer, and the matrix of m (``_cyc_mul``) only for a
+    non-rational m."""
     if any(m[1:]):
-        return [_cyc_mul(m, c, phi, red) for c in co]
+        return _cyc_mul(m, co, ring)
     n = m[0]
     if n == 1:
         return co
     return [tuple([n * x for x in c]) for c in co]
 
 
-def combine_exact(amul, aidx, aco, bmul, bidx, bco, phi, red):
+def combine_exact(amul, aidx, aco, bmul, bidx, bco, ring):
     """Sparse combination amul*A - bmul*B over Z[zeta], content-stripped.
 
     A = (aidx, aco) and B = (bidx, bco) must be zero-free (no entry is the
     zero tuple) and amul, bmul nonzero; ``ExactEchelon`` keeps both.  Each
     vector is scaled once, by amul and by -bmul (``_scaled``: 1 copies
     nothing, any other rational integer costs phi products per entry, and
-    only a non-rational multiplier pays a full ``_cyc_mul``).  Z[zeta] is a
-    domain, so a key held by one vector keeps a nonzero entry; only a key
-    held by both is summed and tested for zero.  Returns (idx, co) with
+    only a non-rational multiplier builds its matrix, or takes it from the
+    ring's table, and applies it to every entry).  Z[zeta] is a domain, so
+    a key held by one vector keeps a nonzero entry; only a key held by
+    both is summed and tested for zero.  Returns (idx, co) with
     zero entries dropped, divided by the integer content of co.
     """
-    sa = _scaled(amul, aco, phi, red)
-    sb = _scaled(tuple([-x for x in bmul]), bco, phi, red)
+    sa = _scaled(amul, aco, ring)
+    sb = _scaled(tuple([-x for x in bmul]), bco, ring)
     na, nb = len(aidx), len(bidx)
     ia = ib = 0
     idx_out = []

@@ -17,15 +17,14 @@ from bisect import bisect_left
 
 from fknichols import backend, cyclotomic
 from fknichols._kernels_py import _content, _cyc_mul
-from fknichols._numtheory import euler_phi
 
 
 class ExactEchelon:
     """Echelon basis over the ring of integers Z[zeta] of Q(zeta), zeta a
     primitive ``conductor``-th root of unity, for sparse vectors.
 
-    phi is the coefficient length, red the reduction table for powers
-    x**phi .. x**(2*phi-2) of the generator.
+    ``ring`` is the conductor's ``ZetaRing``, through which every product
+    in Z[zeta] goes.
 
     Every new pivot gets a rational-integer lead.  When a reduced vector v
     with lead a becomes a pivot, it is stored as c(a) v / g, where
@@ -54,15 +53,16 @@ class ExactEchelon:
     reduction step multiplies the incoming vector by a pivot's integer
     lead, which ``combine_exact`` does with one integer product per
     coordinate, or not at all when the lead is 1; only the incoming lead,
-    which multiplies the pivot, may need a full ``_cyc_mul``, and it too
-    is often +-1.  Nothing is done when phi = 1 or the lead is already
+    which multiplies the pivot, may be non-rational, and then its matrix
+    multiplies every entry of the pivot (``_cyc_mul``).  That lead is
+    nearly always +-zeta^k, whose matrix the ring keeps; c(a) is then
+    +-zeta^-k too.  Nothing is done when phi = 1 or the lead is already
     rational.
     """
 
     def __init__(self, conductor: int):
         self.conductor = conductor
-        self.phi = euler_phi(conductor)
-        self.red = cyclotomic.reduction_rows(conductor)
+        self.ring = cyclotomic.zeta_ring(conductor)
         self.leads: list[int] = []
         self.vectors: list[tuple[list[int], list[tuple[int, ...]]]] = []
 
@@ -89,7 +89,7 @@ class ExactEchelon:
                 break
             pidx, pco = self.vectors[pos]
             idx, co = backend.combine_exact(
-                pco[0], idx, co, co[0], pidx, pco, self.phi, self.red
+                pco[0], idx, co, co[0], pidx, pco, self.ring
             )
         return idx, co
 
@@ -104,9 +104,8 @@ class ExactEchelon:
         """c(co[0]) co without its integer content (see the class docstring)."""
         if not any(co[0][1:]):
             return co
-        phi, red = self.phi, self.red
         cof = cyclotomic.norm_cofactor(co[0], self.conductor)
-        co = [_cyc_mul(cof, c, phi, red) for c in co]
+        co = _cyc_mul(cof, co, self.ring)
         g = _content(co)
         if g > 1:
             co = [tuple(x // g for x in c) for c in co]

@@ -3,10 +3,12 @@
 Scalars produced by braidings are roots of unity and stay in the compact
 (order, exponent) form as long as possible; ``CyclotomicNumber`` provides
 the ring Z[zeta_N], with integer coefficients, once linear algebra needs
-sums.  Nothing divides in it: every elimination runs in the ``_linalg``
-echelons on integer coefficient tuples.  ``norm_cofactor`` gives the
-echelons an inverse up to a rational integer, and a ``ModularSpec`` maps
-Z[zeta_N] to a prime field.
+sums.  Every product in it goes through ``zeta_ring(N)``, the matrix of
+its fixed factor applied by one kernel (``_kernels_py.ZetaRing``).
+Nothing divides in it: every elimination runs in the ``_linalg`` echelons
+on integer coefficient tuples.  ``norm_cofactor`` gives the echelons an
+inverse up to a rational integer, and a ``ModularSpec`` maps Z[zeta_N] to
+a prime field.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
-from fknichols._kernels_py import _cyc_mul
+from fknichols._kernels_py import ZetaRing, _cyc_mul, matrix_from_columns
 from fknichols._numtheory import divisors, euler_phi, is_prime, prime_factors, units
 
 
@@ -89,20 +91,19 @@ def integer_zeta_power(n: int, k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Reduction of x^k mod Phi_n for k = phi..2*phi-2 (kernel input)."""
-    phi = euler_phi(n)
-    table = _power_table(n)
-    return tuple(table[k % n] for k in range(phi, 2 * phi - 1))
+def zeta_ring(n: int) -> ZetaRing:
+    """The products of Z[zeta_n]: one ``ZetaRing`` per conductor, built on
+    first use."""
+    return ZetaRing(_power_table(n))
 
 
 @lru_cache(maxsize=None)
-def _conjugation_rows(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """For each k in (Z/n)^x other than 1: the tuples of sigma_k(zeta^j) =
-    zeta^(jk), j = 0..phi-1."""
+def _conjugation_matrices(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each k in (Z/n)^x other than 1: the matrix of sigma_k, whose
+    column j is sigma_k(zeta^j) = zeta^(jk), j = 0..phi-1."""
     phi = euler_phi(n)
     return tuple(
-        tuple(integer_zeta_power(n, j * k) for j in range(phi))
+        matrix_from_columns([integer_zeta_power(n, j * k) for j in range(phi)])
         for k in units(n)
         if k != 1
     )
@@ -114,17 +115,10 @@ def norm_cofactor(a: tuple[int, ...], n: int) -> tuple[int, ...]:
 
     a * c(a) is the field norm N(a), a rational integer, nonzero when a is.
     """
-    phi = len(a)
-    red = reduction_rows(n)
+    ring = zeta_ring(n)
     out = integer_zeta_power(n, 0)
-    for rows in _conjugation_rows(n):
-        conj = [0] * phi
-        for aj, row in zip(a, rows):
-            if aj:
-                for m, r in enumerate(row):
-                    if r:
-                        conj[m] += aj * r
-        out = _cyc_mul(out, conj, phi, red)
+    for sigma in _conjugation_matrices(n):
+        out = _cyc_mul(ring.kernel(sigma, (a,))[0], (out,), ring)[0]
     return out
 
 
@@ -265,22 +259,8 @@ class CyclotomicNumber:
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         self._check(other)
-        phi = len(self.coeffs)
-        conv = [0] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        out = conv[:phi]
-        red = reduction_rows(self.conductor)
-        for k in range(phi, 2 * phi - 1):
-            v = conv[k]
-            if v:
-                for m, rm in enumerate(red[k - phi]):
-                    if rm:
-                        out[m] += v * rm
-        return CyclotomicNumber(self.conductor, out)
+        product = _cyc_mul(self.coeffs, (other.coeffs,), zeta_ring(self.conductor))
+        return CyclotomicNumber(self.conductor, product[0])
 
     __rmul__ = __mul__
 

@@ -105,15 +105,14 @@ from itertools import permutations as _permutations
 from math import gcd, lcm
 
 from fknichols import _linalg
-from fknichols._kernels_py import _content, _cyc_mul
-from fknichols._numtheory import euler_phi
+from fknichols._kernels_py import _content, _cyc_mul, _scaled
 from fknichols.cyclotomic import (
     BadModularSpecError,
     CyclotomicNumber,
     ModularSpec,
     find_modular_spec,
     integer_zeta_power,
-    reduction_rows,
+    zeta_ring,
 )
 
 DEFAULT_BLOCK_BUDGET = 20_000
@@ -274,18 +273,19 @@ class _ExactScalars:
 
     def __init__(self, scalar_order: int):
         self.order = scalar_order
-        self.phi = euler_phi(scalar_order)
-        self.red = reduction_rows(scalar_order)
-        self.one = tuple([1] + [0] * (self.phi - 1))
+        self.ring = zeta_ring(scalar_order)
+        self.one = tuple([1] + [0] * (self.ring.phi - 1))
         self.zeta_rows = [integer_zeta_power(scalar_order, e) for e in range(scalar_order)]
 
     def mul_zeta(self, c, e: int):
         if e == 0:
             return c
-        return _cyc_mul(c, self.zeta_rows[e], self.phi, self.red)
+        return _cyc_mul(self.zeta_rows[e], (c,), self.ring)[0]
 
-    def times(self, a, b):
-        return a if b == self.one else _cyc_mul(a, b, self.phi, self.red)
+    def products(self, c, co):
+        """c r for each r in co (``_scaled``: integer products for a
+        rational c, else one matrix of c for the whole row)."""
+        return _scaled(c, co, self.ring)
 
     @staticmethod
     def scale(c, n: int):
@@ -344,8 +344,9 @@ class _ModularScalars:
             return c
         return c * self.zeta_rows[e] % self.p
 
-    def times(self, a, b):
-        return a * b % self.p
+    def products(self, c, co):
+        p = self.p
+        return [c * r % p for r in co]
 
     def scale(self, c, n: int):
         return c * n % self.p
@@ -555,18 +556,23 @@ class _Calculator:
         """(D, idx, co) with (1/D) sum co_k e_(idx_k), keys in decreasing
         order, equal to e_key (if a key is given) plus the sum over the
         terms (c, a, (D', idx', co')) of c (1/D') sum_j co'_j e_(idx'_j dim + a),
-        that is c [y a'] ox a for a row of ``_mul``.  D is the least common
-        multiple of the rows' denominators, divided by its gcd with the
-        content of the vector."""
+        that is c [y a'] ox a for a row of ``_mul``; c multiplies its whole
+        row at once (``products``), and an empty row (y a' = 0) or a row
+        whose one coefficient is 1 (every pivot row) costs no product.  D is
+        the least common multiple of the rows' denominators, divided by its
+        gcd with the content of the vector."""
         scalars = self.scalars
+        one = scalars.one
         dim = self.space.dim
         den = lcm(*(row[0] for _, _, row in terms))
-        vec = {} if key is None else {key: scalars.scale(scalars.one, den)}
+        vec = {} if key is None else {key: scalars.scale(one, den)}
         for c, a, (rden, ridx, rco) in terms:
+            if not ridx:
+                continue
             if rden != den:
                 c = scalars.scale(c, den // rden)
-            for j, r in zip(ridx, rco):
-                t = scalars.times(c, r)
+            row = (c,) if len(rco) == 1 and rco[0] == one else scalars.products(c, rco)
+            for j, t in zip(ridx, row):
                 k = j * dim + a
                 vec[k] = scalars.add(vec[k], t) if k in vec else t
         items = sorted(((k, c) for k, c in vec.items() if scalars.nonzero(c)), reverse=True)

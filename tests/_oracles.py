@@ -9,9 +9,14 @@
 * The first failing prefix of the sweep's heuristic words s_j s_i s_p on
   the full cyclic braiding, found by reflecting whole diagrams, used to
   cross-check the sweep heuristic.
+* The Z[zeta] product as a convolution reduced mod the cyclotomic
+  polynomial, ``_cyc_mul``, the package's product before it went through
+  the matrix of a fixed factor.  The tests compare ``_kernels_py._cyc_mul``,
+  ``CyclotomicNumber`` products and ``norm_cofactor`` against it.
 * The sparse Z[zeta] combination kernel as it was before it special-cased
-  rational-integer multipliers: every entry goes through ``_cyc_mul`` and is
-  tested for zero.  The tests compare ``combine_exact`` against it.
+  rational-integer multipliers: every entry goes through the convolution
+  ``_cyc_mul`` and is tested for zero.  The tests compare ``combine_exact``
+  against it.
 * Dense reduced row echelon form over Q, the oracle for the echelon ranks
   of ``_linalg`` and for the symmetrizer's ranks.
 """
@@ -22,8 +27,9 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd
 
-from fknichols._kernels_py import _content, _cyc_mul
-from fknichols.cyclotomic import RootOfUnity
+from fknichols._kernels_py import _content
+from fknichols._numtheory import euler_phi
+from fknichols.cyclotomic import RootOfUnity, integer_zeta_power
 from fknichols.reflection_groups import GroupParams, Reflection
 
 
@@ -399,11 +405,42 @@ def heuristic_witness(n: int, cap: int):
     return None
 
 
-def combine_exact(amul, aidx, aco, bmul, bidx, bco, phi, red):
+def _cyc_mul(a, b, phi, red):
+    """Product of two coefficient tuples mod the cyclotomic polynomial."""
+    if phi == 1:
+        return (a[0] * b[0],)
+    conv = [0] * (2 * phi - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    conv[i + j] += ai * bj
+    out = conv[:phi]
+    for k in range(phi, 2 * phi - 1):
+        v = conv[k]
+        if v:
+            rk = red[k - phi]
+            for m in range(phi):
+                if rk[m]:
+                    out[m] += v * rk[m]
+    return tuple(out)
+
+
+def reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Reduction of x^k mod Phi_n for k = phi..2*phi-2, the ``red`` of
+    ``_cyc_mul``."""
+    phi = euler_phi(n)
+    return tuple(integer_zeta_power(n, k) for k in range(phi, 2 * phi - 1))
+
+
+def combine_exact(amul, aidx, aco, bmul, bidx, bco, ring):
     """Sparse combination amul*A - bmul*B over Z[zeta], content-stripped.
 
+    ``ring`` is the conductor's ``ZetaRing``; only its phi and conductor
+    are read.
     Returns (idx, co) with zero entries dropped.
     """
+    phi, red = ring.phi, reduction_rows(ring.conductor)
     na, nb = len(aidx), len(bidx)
     ia = ib = 0
     idx_out = []

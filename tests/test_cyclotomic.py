@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import _oracles
 from conftest import echelon_vector
 from fknichols import backend, cyclotomic
-from fknichols._kernels_py import combine_exact
+from fknichols._kernels_py import _cyc_mul, combine_exact
 from fknichols._linalg import ExactEchelon, ModularEchelon
-from fknichols._numtheory import euler_phi
+from fknichols._numtheory import euler_phi, units
 from fknichols.cyclotomic import (
     BadModularSpecError,
     ConductorMismatchError,
@@ -122,7 +122,7 @@ def test_embed_multiplicative(rng):
 
 
 def _random_cyc(conductor, rand):
-    from fknichols._numtheory import euler_phi
+    from fknichols._numtheory import euler_phi, units
 
     return CyclotomicNumber(
         conductor,
@@ -276,6 +276,61 @@ def test_norm_cofactor_gives_the_norm(case):
     assert norm == sympy.resultant(sympy.cyclotomic_poly(conductor, x), poly, x)
 
 
+def _signed_roots(conductor):
+    """The 2 * conductor signed roots of unity +-zeta^k as tuples."""
+    powers = [cyclotomic.integer_zeta_power(conductor, k) for k in range(conductor)]
+    return powers + [tuple(-x for x in z) for z in powers]
+
+
+def _random_elements(rand, phi, count):
+    """Tuples with zeros, negative and large entries, and the zero tuple."""
+    pool = (0, 0, 0, 1, -1, 2, -7, 10**20 + 3, -(10**12))
+    return [(0,) * phi] + [tuple(rand.choice(pool) for _ in range(phi)) for _ in range(count)]
+
+
+def _oracle_norm_cofactor(a, conductor):
+    """prod sigma_k(a), k in (Z/conductor)^x other than 1, by the oracle's
+    convolution; sigma_k(a) = sum_j a_j zeta^(jk) is a sum of power tuples."""
+    phi = len(a)
+    red = _oracles.reduction_rows(conductor)
+    out = cyclotomic.integer_zeta_power(conductor, 0)
+    for k in units(conductor):
+        if k != 1:
+            conj = [0] * phi
+            for j, aj in enumerate(a):
+                for i, z in enumerate(cyclotomic.integer_zeta_power(conductor, j * k)):
+                    conj[i] += aj * z
+            out = _oracles._cyc_mul(out, tuple(conj), phi, red)
+    return out
+
+
+@pytest.mark.parametrize("conductor", range(1, 31))
+def test_products_match_the_convolution_oracle(conductor):
+    # the product kernel, CyclotomicNumber products and norm_cofactor
+    # against the convolution they replaced, for every signed root of unity
+    # (tabled matrices, used twice) and random factors (built matrices)
+    rand = random.Random(conductor)
+    phi = euler_phi(conductor)
+    red = _oracles.reduction_rows(conductor)
+    ring = cyclotomic.zeta_ring(conductor)
+    entries = _random_elements(rand, phi, 12)
+    factors = _signed_roots(conductor) + _random_elements(rand, phi, 12)
+    for m in factors:
+        expected = [_oracles._cyc_mul(m, c, phi, red) for c in entries]
+        assert _cyc_mul(m, entries, ring) == expected, m
+        assert _cyc_mul(m, entries, ring) == expected, m
+        x = CyclotomicNumber(conductor, m)
+        for c, product in zip(entries, expected):
+            assert (x * CyclotomicNumber(conductor, c)).coeffs == product
+    for a in factors:
+        if any(a):
+            cof = norm_cofactor(a, conductor)
+            assert cof == _oracle_norm_cofactor(a, conductor), a
+            norm = _oracles._cyc_mul(a, cof, phi, red)
+            assert norm[0] != 0 and not any(norm[1:]), a
+    assert len(ring._units) <= 2 * conductor
+
+
 def _regular_representation(x):
     """The phi x phi rational matrix of multiplication by x on the power basis."""
     phi = len(x.coeffs)
@@ -326,8 +381,7 @@ KERNEL_CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 12)
 
 
 def _kernel_args(conductor, amul, a, bmul, b):
-    phi = euler_phi(conductor)
-    return amul, *a, bmul, *b, phi, cyclotomic.reduction_rows(conductor)
+    return amul, *a, bmul, *b, cyclotomic.zeta_ring(conductor)
 
 
 @st.composite

@@ -46,7 +46,9 @@ compare digests, the benchmark's Hilbert jobs, were taken while the
 quadratic cover was still computed from its ideal in T^d.  The exact
 C8 (1,4) series to degree 12, the benchmark's other exact job and its case
 of non-rational leads at phi = 4, was pinned while the exact combination
-kernel still multiplied every entry through ``_cyc_mul``.
+kernel still multiplied every entry by a convolution of the two tuples,
+reduced mod Phi_8 (``_cyc_mul`` in ``tests/_oracles.py``); every product
+now applies the matrix of its fixed factor.
 
 The YD digests were taken while ``yd_module`` built each braiding entry
 from a group product and the coroot action.  They pin the

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from _oracles import rref_fraction
 from conftest import echelon_vector
+from fknichols import cyclotomic
 from fknichols import diagonal as dg
 from fknichols import reflection_groups as rg
 from fknichols import symmetrizer as sm
@@ -188,6 +189,33 @@ def test_nichols_series_equals_pbw_series_past_the_top(order, subset, degree):
     data = sm.nichols_hilbert(sm.space_from_diagonal(braiding), degree, block_budget=None)
     assert list(data.per_degree) == list(dg.pbw_hilbert_series(braiding, degree))
     assert data.per_degree[-1] == 0
+
+
+# conductors 8, 12, 5 and 10 all have phi = 4, with four different Phi_n
+PHI4_CYCLIC = ((8, (1, 4)), (12, (1, 5)), (5, (1, 2)), (10, (1, 5)))
+
+
+def test_product_tables_keep_conductors_of_equal_phi_apart():
+    # one process, two orders, each from freshly built rings: a table that
+    # served one conductor's matrices to another would change a series
+    runs = []
+    for order in (PHI4_CYCLIC, PHI4_CYCLIC[::-1]):
+        cyclotomic.zeta_ring.cache_clear()
+        runs.append(
+            {case: sm.nichols_hilbert(diag_space(*case), 8).per_degree for case in order}
+        )
+    assert runs[0] == runs[1]
+    for (order, subset), series in runs[0].items():
+        braiding = dg.cyclic_braiding(order, subset)
+        if order == 12:
+            # C12 (1,5) has an infinite root system, so no PBW series: the
+            # direct symmetrizer ranks stand in for it at low degree
+            with pytest.raises(dg.RootSystemUndefinedError):
+                dg.pbw_hilbert_series(braiding, 8)
+            space = diag_space(order, subset)
+            assert list(series[:6]) == [sm.direct_graded_dim(space, d) for d in range(6)]
+        else:
+            assert list(series) == list(dg.pbw_hilbert_series(braiding, 8)), order
 
 
 def test_quadratic_multidegree_sums(b2_space, yd_cache):

@@ -12,8 +12,9 @@ Conventions:
 * Exact sparse vectors over the ring Z[zeta] are pairs ``(idx, co)`` where
   ``idx`` is a strictly increasing list of ints and ``co`` a parallel list
   of coefficient tuples of length phi (the degree of the cyclotomic ring).
-  ``ring`` is the ``ZetaRing`` of the conductor: every product in Z[zeta]
-  goes through it (``_cyc_mul``).
+  ``ring`` is the ``ZetaRing`` of the conductor: it owns the power table
+  of zeta and the conjugation matrices, and every product in Z[zeta] goes
+  through it (``_cyc_mul``).
 """
 
 from __future__ import annotations
@@ -174,20 +175,14 @@ def matrix_from_columns(cols):
     return tuple([x for col in cols for x in col])
 
 
-def mul_matrix(m, phi, top):
-    """The phi x phi integer matrix of c -> m c on the power basis.  Column
-    k is m x^k: the column before it times x, a shift whose overflow
-    coefficient at x^phi is replaced by that multiple of ``top``, the
-    tuple of x^phi."""
-    cols = [m]
-    for _ in range(phi - 1):
-        col = cols[-1]
-        carry = col[-1]
-        col = [0, *col[:-1]]
-        if carry:
-            col = [x + carry * t for x, t in zip(col, top)]
-        cols.append(col)
-    return matrix_from_columns(cols)
+def _times_x(c, top):
+    """c x on the power basis: the shift of c, whose overflow coefficient
+    at x^phi is replaced by that multiple of ``top``, the tuple of x^phi."""
+    carry = c[-1]
+    c = (0, *c[:-1])
+    if carry:
+        c = tuple([x + carry * t for x, t in zip(c, top)])
+    return c
 
 
 _PRODUCT_KERNELS: dict = {}
@@ -224,35 +219,66 @@ def _product_kernel(phi):
 
 
 class ZetaRing:
-    """Products in Z[zeta] at one conductor n, built from ``powers``, the
-    tuples of zeta^k for k = 0 .. n-1.
-
-    A product always multiplies by a fixed factor m: ``matrix(m)`` is the
-    matrix of c -> m c (``mul_matrix``) and ``kernel`` applies it to a list
-    of tuples.  The matrices of the signed roots of unity +-zeta^k, the
-    factors of almost every product, are kept once built; there are at most
-    2n of them, and a ring belongs to one conductor, so a table never mixes
-    the matrices of two conductors with the same phi.
+    """Z[zeta] at one conductor n, from ``poly``, the coefficients of Phi_n:
+    the one owner of its tables.  ``powers`` holds zeta^k for k = 0 .. n-1
+    and ``matrix(m)``, the matrix of c -> m c, has the columns m x^k, both
+    built by the one step ``_times_x``; ``kernel`` applies a matrix to a
+    list of tuples.  The matrices of the signed roots of unity +-zeta^k,
+    the factors of almost every product, are kept once built (at most 2n,
+    and never shared with another conductor of the same phi), and the
+    conjugations of ``norm_cofactor`` on its first call.
     """
 
-    __slots__ = ("conductor", "phi", "top", "kernel", "_roots", "_units")
+    __slots__ = ("conductor", "phi", "top", "powers", "kernel", "_roots", "_units",
+                 "_conjugations")
 
-    def __init__(self, powers):
-        self.conductor = len(powers)
-        self.phi = len(powers[0])
-        self.top = powers[self.phi % self.conductor]
-        self.kernel = _product_kernel(self.phi)
+    def __init__(self, conductor, poly):
+        self.conductor = conductor
+        self.phi = phi = len(poly) - 1
+        self.top = tuple([-c for c in poly[:phi]])
+        powers = [(1,) + (0,) * (phi - 1)]
+        while len(powers) < conductor:
+            powers.append(_times_x(powers[-1], self.top))
+        self.powers = tuple(powers)
+        self.kernel = self._first_product
         self._roots = frozenset(powers) | frozenset(tuple([-x for x in z]) for z in powers)
         self._units: dict = {}
+        self._conjugations = None
+
+    def _first_product(self, m, co):
+        """Compile the kernel, phi^2 lines, at the first product: a reader of
+        ``powers`` alone (modular mode) never needs it."""
+        self.kernel = _product_kernel(self.phi)
+        return self.kernel(m, co)
 
     def matrix(self, m):
         """The matrix of c -> m c (kept when m is a signed root of unity)."""
         mat = self._units.get(m)
         if mat is None:
-            mat = mul_matrix(m, self.phi, self.top)
+            cols = [m]
+            for _ in range(self.phi - 1):
+                cols.append(_times_x(cols[-1], self.top))
+            mat = matrix_from_columns(cols)
             if m in self._roots:
                 self._units[m] = mat
         return mat
+
+    def norm_cofactor(self, a):
+        """c(a) = prod of sigma_k(a) over k in (Z/n)^x, k != 1, where
+        sigma_k(zeta) = zeta^k; a is a power-basis tuple.  a c(a) is the
+        field norm N(a), a rational integer, nonzero when a is.  The matrix
+        of sigma_k has the columns sigma_k(zeta^j) = zeta^(jk)."""
+        n, powers = self.conductor, self.powers
+        if self._conjugations is None:
+            self._conjugations = [
+                matrix_from_columns([powers[j * k % n] for j in range(self.phi)])
+                for k in range(2, n)
+                if gcd(k, n) == 1
+            ]
+        out = powers[0]
+        for sigma in self._conjugations:
+            out = _cyc_mul(self.kernel(sigma, (a,))[0], (out,), self)[0]
+        return out
 
 
 def _cyc_mul(m, co, ring):

@@ -1,14 +1,18 @@
 """Exact and modular echelon bases for sparse vectors.
 
-The echelon classes implement incremental rank computation: vectors are
-inserted one at a time and reduced against the pivots found so far.
-``insert`` is ``reduce`` and then, for a nonzero residual, ``append``; a
-caller that reads the residual of a dependent vector calls the two
-itself.  Exact vectors carry integer cyclotomic coefficients
-(fraction-free elimination with content stripping), modular vectors
-single residues.  Every rank in the package goes through them; nothing in
-the package divides in Q(zeta).  The tests check them against dense
-elimination over Q, ``rref_fraction`` in ``tests/_oracles.py``.
+Vectors are inserted one at a time and reduced against the pivots found
+so far: ``insert`` is ``reduce`` and then, for a nonzero residual,
+``append``; a caller that reads the residual of a dependent vector calls
+the two itself.  Both modes run one skeleton, ``_Echelon``, whose step is
+the fraction-free lead(p) v - lead(v) p for the pivot p that shares v's
+lead.  Exact vectors carry integer cyclotomic coefficients (content
+stripped), modular vectors residues.  So a modular step scales v by the
+pivot's nonzero lead instead of dividing by it: each residual is a
+nonzero multiple of the divided one, which changes no lead, rank or pivot,
+and a ``_mul`` row, the residual over its own coefficient, is the same.
+Every rank in the package goes through them; nothing divides in Q(zeta).
+The tests check them against dense elimination over Q, ``rref_fraction``
+in ``tests/_oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,17 +23,74 @@ from fknichols import backend, cyclotomic
 from fknichols._kernels_py import _content, _cyc_mul
 
 
-class ExactEchelon:
+class _Echelon:
+    """The pivot list, ``rank``, ``insert``, ``append`` and ``reduce`` of
+    both modes.  A subclass names its kernel in ``backend`` (looked up on
+    every ``reduce``, so a patched kernel is seen), passes the context the
+    kernel takes, and may store a pivot in another form (``_pivot``).
+    Pivots are kept sorted by lead, with their (idx, co)."""
+
+    kernel_name: str
+
+    def __init__(self, context):
+        self.context = context
+        self.leads: list[int] = []
+        self.vectors: list = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.leads)
+
+    def insert(self, idx: list[int], co: list) -> bool:
+        """Reduce (idx, co) against the basis; add as pivot if independent."""
+        idx, co = self.reduce(idx, co)
+        if idx:
+            self.append(idx, co)
+        return bool(idx)
+
+    def reduce(self, idx: list[int], co: list):
+        """Reduce (idx, co) until its lead is no pivot's lead; the result is
+        empty exactly when the vector lies in the span of the basis.  Each
+        step replaces v by lead(p) v - lead(v) p for the pivot p with v's
+        lead, which must move the lead past it: a step that does not raises
+        ArithmeticError instead of looping."""
+        kernel = getattr(backend, self.kernel_name)
+        context = self.context
+        leads = self.leads
+        while idx:
+            lead = idx[0]
+            pos = bisect_left(leads, lead)
+            if pos == len(leads) or leads[pos] != lead:
+                break
+            pidx, pco = self.vectors[pos]
+            idx, co = kernel(pco[0], idx, co, co[0], pidx, pco, context)
+            if idx and idx[0] <= lead:
+                raise ArithmeticError(
+                    f"{self.kernel_name} left the lead at {idx[0]}, not past {lead}"
+                )
+        return idx, co
+
+    def append(self, idx: list[int], co: list) -> None:
+        """Add a nonzero output of ``reduce`` as a pivot."""
+        pos = bisect_left(self.leads, idx[0])
+        self.leads.insert(pos, idx[0])
+        self.vectors.insert(pos, (idx, self._pivot(co)))
+
+    def _pivot(self, co: list) -> list:
+        return co
+
+
+class ExactEchelon(_Echelon):
     """Echelon basis over the ring of integers Z[zeta] of Q(zeta), zeta a
     primitive ``conductor``-th root of unity, for sparse vectors.
 
-    ``ring`` is the conductor's ``ZetaRing``, through which every product
-    in Z[zeta] goes.
+    Its context is the conductor's ``ZetaRing``, through which every
+    product in Z[zeta] goes; the ring is its only state besides the pivots.
 
     Every new pivot gets a rational-integer lead.  When a reduced vector v
     with lead a becomes a pivot, it is stored as c(a) v / g, where
     c(a) = prod sigma_k(a) over k in (Z/conductor)^x, k != 1
-    (``cyclotomic.norm_cofactor``) and g is the integer content of c(a) v.
+    (``ZetaRing.norm_cofactor``) and g is the integer content of c(a) v.
     Its lead is then N(a) / g, a nonzero rational integer.  Proof that this
     changes no rank and no pivot position:
 
@@ -60,92 +121,25 @@ class ExactEchelon:
     rational.
     """
 
+    kernel_name = "combine_exact"
+
     def __init__(self, conductor: int):
-        self.conductor = conductor
-        self.ring = cyclotomic.zeta_ring(conductor)
-        self.leads: list[int] = []
-        self.vectors: list[tuple[list[int], list[tuple[int, ...]]]] = []
+        super().__init__(cyclotomic.zeta_ring(conductor))
 
-    @property
-    def rank(self) -> int:
-        return len(self.leads)
-
-    def insert(self, idx: list[int], co: list[tuple[int, ...]]) -> bool:
-        """Reduce (idx, co) against the basis; add as pivot if independent."""
-        idx, co = self.reduce(idx, co)
-        if idx:
-            self.append(idx, co)
-        return bool(idx)
-
-    def reduce(self, idx: list[int], co: list[tuple[int, ...]]):
-        """Reduce (idx, co) until its lead is no pivot's lead; the result is
-        empty exactly when the vector lies in the span of the basis.  Every
-        step multiplies the vector by a pivot's rational-integer lead and
-        divides it by an integer content."""
-        leads = self.leads
-        while idx:
-            pos = bisect_left(leads, idx[0])
-            if pos == len(leads) or leads[pos] != idx[0]:
-                break
-            pidx, pco = self.vectors[pos]
-            idx, co = backend.combine_exact(
-                pco[0], idx, co, co[0], pidx, pco, self.ring
-            )
-        return idx, co
-
-    def append(self, idx: list[int], co: list[tuple[int, ...]]) -> None:
-        """Add a nonzero output of ``reduce`` as a pivot, scaled to a
-        rational-integer lead."""
-        pos = bisect_left(self.leads, idx[0])
-        self.leads.insert(pos, idx[0])
-        self.vectors.insert(pos, (idx, self._integer_lead(co)))
-
-    def _integer_lead(self, co: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    def _pivot(self, co: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """c(co[0]) co without its integer content (see the class docstring)."""
         if not any(co[0][1:]):
             return co
-        cof = cyclotomic.norm_cofactor(co[0], self.conductor)
-        co = _cyc_mul(cof, co, self.ring)
+        ring = self.context
+        co = _cyc_mul(ring.norm_cofactor(co[0]), co, ring)
         g = _content(co)
         if g > 1:
             co = [tuple(x // g for x in c) for c in co]
         return co
 
 
-class ModularEchelon:
-    """Echelon basis over F_p for sparse integer vectors."""
+class ModularEchelon(_Echelon):
+    """Echelon basis over F_p for sparse integer vectors; its context is p,
+    and a pivot is stored as ``reduce`` left it."""
 
-    def __init__(self, p: int):
-        self.p = p
-        self.leads: list[int] = []
-        self.vectors: list[tuple[list[int], list[int]]] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.leads)
-
-    def insert(self, idx: list[int], co: list[int]) -> bool:
-        idx, co = self.reduce(idx, co)
-        if idx:
-            self.append(idx, co)
-        return bool(idx)
-
-    def reduce(self, idx: list[int], co: list[int]):
-        """As ``ExactEchelon.reduce``; a step subtracts a multiple of a pivot
-        and never rescales the vector."""
-        p = self.p
-        leads = self.leads
-        while idx:
-            pos = bisect_left(leads, idx[0])
-            if pos == len(leads) or leads[pos] != idx[0]:
-                break
-            pidx, pco = self.vectors[pos]
-            factor = co[0] * pow(pco[0], -1, p) % p
-            idx, co = backend.combine_mod(1, idx, co, factor, pidx, pco, p)
-        return idx, co
-
-    def append(self, idx: list[int], co: list[int]) -> None:
-        """Add a nonzero output of ``reduce`` as a pivot."""
-        pos = bisect_left(self.leads, idx[0])
-        self.leads.insert(pos, idx[0])
-        self.vectors.insert(pos, (idx, co))
+    kernel_name = "combine_mod"

@@ -311,9 +311,7 @@ def _add_hilbert_args(p):
     src.add_argument("--cyclic", type=int, metavar="N")
     p.add_argument("--subset", help="comma-separated subset of 1..n-1")
     p.add_argument("--max-degree", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--modular", action="store_true")
+    p.add_argument("--modular", action="store_true")
     p.add_argument(
         "--budget",
         type=_int_at_least(0),

@@ -3,12 +3,13 @@
 Scalars produced by braidings are roots of unity and stay in the compact
 (order, exponent) form as long as possible; ``CyclotomicNumber`` provides
 the ring Z[zeta_N], with integer coefficients, once linear algebra needs
-sums.  Every product in it goes through ``zeta_ring(N)``, the matrix of
-its fixed factor applied by one kernel (``_kernels_py.ZetaRing``).
-Nothing divides in it: every elimination runs in the ``_linalg`` echelons
-on integer coefficient tuples.  ``norm_cofactor`` gives the echelons an
-inverse up to a rational integer, and a ``ModularSpec`` maps Z[zeta_N] to
-a prime field.
+sums.  ``zeta_ring(N)`` (``_kernels_py.ZetaRing``) owns the ring's
+tables: the power table of zeta, which ``integer_zeta_power`` reads, and
+the conjugations behind ``norm_cofactor``, which gives the echelons an
+inverse up to a rational integer.  Every product goes through the matrix
+of its fixed factor, applied by one kernel.  Nothing divides in it: every
+elimination runs in the ``_linalg`` echelons on integer coefficient
+tuples, and a ``ModularSpec`` maps Z[zeta_N] to a prime field.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
-from fknichols._kernels_py import ZetaRing, _cyc_mul, matrix_from_columns
-from fknichols._numtheory import divisors, euler_phi, is_prime, prime_factors, units
+from fknichols._kernels_py import ZetaRing, _cyc_mul
+from fknichols._numtheory import divisors, euler_phi, is_prime, prime_factors
 
 
 class ConductorMismatchError(ValueError):
@@ -68,58 +69,21 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Integer coefficient tuples of zeta_n^k mod Phi_n, for k = 0..n-1."""
-    phi = euler_phi(n)
-    poly = cyclotomic_polynomial(n)
-    # x^phi = -(c_0 + ... + c_{phi-1} x^{phi-1})  (Phi_n is monic)
-    top = tuple(-c for c in poly[:phi])
-    rows = [tuple(1 if j == k else 0 for j in range(phi)) for k in range(min(phi, n))]
-    while len(rows) < n:
-        prev = rows[-1]
-        shifted = [0] + list(prev[:-1])
-        carry = prev[-1]
-        if carry:
-            shifted = [s + carry * t for s, t in zip(shifted, top)]
-        rows.append(tuple(shifted))
-    return tuple(rows)
+def zeta_ring(n: int) -> ZetaRing:
+    """Z[zeta_n], its power table and its products: one ``ZetaRing`` per
+    conductor, built on first use."""
+    return ZetaRing(n, cyclotomic_polynomial(n))
 
 
 def integer_zeta_power(n: int, k: int) -> tuple[int, ...]:
     """Integer coefficient tuple of zeta_n^k on the power basis mod Phi_n."""
-    return _power_table(n)[k % n]
-
-
-@lru_cache(maxsize=None)
-def zeta_ring(n: int) -> ZetaRing:
-    """The products of Z[zeta_n]: one ``ZetaRing`` per conductor, built on
-    first use."""
-    return ZetaRing(_power_table(n))
-
-
-@lru_cache(maxsize=None)
-def _conjugation_matrices(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each k in (Z/n)^x other than 1: the matrix of sigma_k, whose
-    column j is sigma_k(zeta^j) = zeta^(jk), j = 0..phi-1."""
-    phi = euler_phi(n)
-    return tuple(
-        matrix_from_columns([integer_zeta_power(n, j * k) for j in range(phi)])
-        for k in units(n)
-        if k != 1
-    )
+    return zeta_ring(n).powers[k % n]
 
 
 def norm_cofactor(a: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """c(a) = prod of sigma_k(a) over k in (Z/n)^x, k != 1, where
-    sigma_k(zeta) = zeta^k; a is an integer power-basis tuple at conductor n.
-
-    a * c(a) is the field norm N(a), a rational integer, nonzero when a is.
-    """
-    ring = zeta_ring(n)
-    out = integer_zeta_power(n, 0)
-    for sigma in _conjugation_matrices(n):
-        out = _cyc_mul(ring.kernel(sigma, (a,))[0], (out,), ring)[0]
-    return out
+    """c(a) = prod of sigma_k(a) over k in (Z/n)^x, k != 1, whose product
+    with a is the field norm N(a) (``ZetaRing.norm_cofactor``)."""
+    return zeta_ring(n).norm_cofactor(a)
 
 
 class RootOfUnity:
@@ -224,7 +188,7 @@ class CyclotomicNumber:
 
     @classmethod
     def zeta_power(cls, conductor: int, k: int) -> "CyclotomicNumber":
-        return cls(conductor, _power_table(conductor)[k % conductor])
+        return cls(conductor, integer_zeta_power(conductor, k))
 
     def _check(self, other: "CyclotomicNumber") -> None:
         if self.conductor != other.conductor:

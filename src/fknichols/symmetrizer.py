@@ -111,7 +111,6 @@ from fknichols.cyclotomic import (
     CyclotomicNumber,
     ModularSpec,
     find_modular_spec,
-    integer_zeta_power,
     zeta_ring,
 )
 
@@ -275,7 +274,7 @@ class _ExactScalars:
         self.order = scalar_order
         self.ring = zeta_ring(scalar_order)
         self.one = tuple([1] + [0] * (self.ring.phi - 1))
-        self.zeta_rows = [integer_zeta_power(scalar_order, e) for e in range(scalar_order)]
+        self.zeta_rows = self.ring.powers
 
     def mul_zeta(self, c, e: int):
         if e == 0:
@@ -365,7 +364,9 @@ class _ModularScalars:
         return den, co
 
     def solve(self, den: int, own, idx, co):
-        """As ``_ExactScalars.solve``; every row has denominator 1."""
+        """As ``_ExactScalars.solve``; every row has denominator 1.  The
+        echelon scales a residual by pivot leads, so own carries that
+        nonzero scalar too, and dividing by own removes it."""
         inv = pow(own * den, -1, self.p)
         return 1, idx, [-c * inv % self.p for c in co]
 
@@ -457,8 +458,11 @@ class _Calculator:
 
     def _previous_level(self, back: int = 1):
         """The blocks of the level ``back`` below the next one, with their
-        vectors, in repr order: the order that numbers its basis."""
-        return sorted(self._levels[-back].items(), key=lambda kv: repr(kv[0]))
+        vectors, in the order that numbers its basis.  Every level dict is
+        in repr order of its blocks: ``_extend`` fills it while it walks
+        its blocks sorted by repr, an adopted level is a Nichols level
+        built the same way, and level 0 has one block."""
+        return self._levels[-back].items()
 
     def _check_budget(self, required: int):
         if self.block_budget is not None and required > self.block_budget:

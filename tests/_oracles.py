@@ -12,7 +12,9 @@
 * The Z[zeta] product as a convolution reduced mod the cyclotomic
   polynomial, ``_cyc_mul``, the package's product before it went through
   the matrix of a fixed factor.  The tests compare ``_kernels_py._cyc_mul``,
-  ``CyclotomicNumber`` products and ``norm_cofactor`` against it.
+  ``CyclotomicNumber`` products and ``norm_cofactor`` against it.  Its
+  reduction rows and the powers of zeta come from ``zeta_power``, a long
+  division by the cyclotomic polynomial, not from the package's table.
 * The sparse Z[zeta] combination kernel as it was before it special-cased
   rational-integer multipliers: every entry goes through the convolution
   ``_cyc_mul`` and is tested for zero.  The tests compare ``combine_exact``
@@ -24,12 +26,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import gcd
 
 from fknichols._kernels_py import _content
 from fknichols._numtheory import euler_phi
-from fknichols.cyclotomic import RootOfUnity, integer_zeta_power
+from fknichols.cyclotomic import RootOfUnity, cyclotomic_polynomial
 from fknichols.reflection_groups import GroupParams, Reflection
 
 
@@ -426,11 +429,29 @@ def _cyc_mul(a, b, phi, red):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def zeta_power(n: int, k: int) -> tuple[int, ...]:
+    """x^k mod Phi_n on the power basis, by long division by the monic
+    ``cyclotomic_polynomial(n)`` (checked against sympy); k is first
+    reduced mod n, since Phi_n divides x^n - 1."""
+    poly = cyclotomic_polynomial(n)
+    phi = len(poly) - 1
+    k %= n
+    rem = [0] * max(k + 1, phi)
+    rem[k] = 1
+    for top in range(len(rem) - 1, phi - 1, -1):
+        c = rem[top]
+        if c:
+            for j, p in enumerate(poly):
+                rem[top - phi + j] -= c * p
+    return tuple(rem[:phi])
+
+
 def reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Reduction of x^k mod Phi_n for k = phi..2*phi-2, the ``red`` of
     ``_cyc_mul``."""
     phi = euler_phi(n)
-    return tuple(integer_zeta_power(n, k) for k in range(phi, 2 * phi - 1))
+    return tuple(zeta_power(n, k) for k in range(phi, 2 * phi - 1))
 
 
 def combine_exact(amul, aidx, aco, bmul, bidx, bco, ring):

@@ -252,6 +252,8 @@ def test_usage_error_exit_64(capsys):
     assert run_cli(capsys, "groupoid", "check", "6", "--nope")[0] == 64
     assert run_cli(capsys, "groupoid")[0] == 64
     assert run_cli(capsys, "groupoid", "sweep", "--max", "5", "--no-heuristic")[0] == 64
+    hilbert = ("nichols", "hilbert", "--cyclic", "4", "--max-degree", "3")
+    assert run_cli(capsys, *hilbert, "--exact")[0] == 64
     code, _, err = run_cli(
         capsys, "nichols", "hilbert", "--cyclic", "4", "--max-degree", "3", "--budget", "-1"
     )

@@ -276,9 +276,17 @@ def test_norm_cofactor_gives_the_norm(case):
     assert norm == sympy.resultant(sympy.cyclotomic_poly(conductor, x), poly, x)
 
 
+@pytest.mark.parametrize("n", range(1, 31))
+def test_power_table_matches_long_division(n):
+    # the ring's table, built by the multiply-by-x step, against x^k mod
+    # Phi_n by long division (n = 1 and 2 have phi = 1)
+    expected = tuple(_oracles.zeta_power(n, k) for k in range(n))
+    assert cyclotomic.zeta_ring(n).powers == expected
+
+
 def _signed_roots(conductor):
     """The 2 * conductor signed roots of unity +-zeta^k as tuples."""
-    powers = [cyclotomic.integer_zeta_power(conductor, k) for k in range(conductor)]
+    powers = [_oracles.zeta_power(conductor, k) for k in range(conductor)]
     return powers + [tuple(-x for x in z) for z in powers]
 
 
@@ -293,12 +301,12 @@ def _oracle_norm_cofactor(a, conductor):
     convolution; sigma_k(a) = sum_j a_j zeta^(jk) is a sum of power tuples."""
     phi = len(a)
     red = _oracles.reduction_rows(conductor)
-    out = cyclotomic.integer_zeta_power(conductor, 0)
+    out = _oracles.zeta_power(conductor, 0)
     for k in units(conductor):
         if k != 1:
             conj = [0] * phi
             for j, aj in enumerate(a):
-                for i, z in enumerate(cyclotomic.integer_zeta_power(conductor, j * k)):
+                for i, z in enumerate(_oracles.zeta_power(conductor, j * k)):
                     conj[i] += aj * z
             out = _oracles._cyc_mul(out, tuple(conj), phi, red)
     return out
@@ -460,3 +468,32 @@ def test_echelon_is_the_same_under_the_reference_kernel(mat):
         old = echelon()
     assert new.leads == old.leads
     assert new.vectors == old.vectors
+
+
+@pytest.mark.parametrize(
+    "kernel, echelon, vector",
+    [
+        ("combine_exact", lambda: ExactEchelon(5), ([1, 3], [(1, 2, 0, 0), (0, 0, 1, 0)])),
+        ("combine_mod", lambda: ModularEchelon(11), ([1, 3], [4, 7])),
+    ],
+    ids=["exact", "modular"],
+)
+def test_a_step_that_keeps_the_lead_raises(kernel, echelon, vector):
+    # a kernel that returns its first vector unchanged never cancels the
+    # lead; without the progress check reduce would call it forever
+    calls = 0
+
+    def stuck(amul, aidx, aco, *rest):
+        nonlocal calls
+        calls += 1
+        if calls == 100:
+            raise RuntimeError("reduce repeated a step that kept the lead")
+        return aidx, aco
+
+    ech = echelon()
+    assert ech.insert(*vector)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backend, kernel, stuck)
+        with pytest.raises(ArithmeticError):
+            ech.insert(*vector)
+    assert calls == 1

@@ -625,6 +625,29 @@ def test_compare_cover_adopts_the_nichols_levels_while_they_agree(
     assert (cover._quotient is nichols) == (adopted == max_degree)
 
 
+@pytest.mark.parametrize(
+    "source, max_degree", [((3, 3, 3), 4), ((8, (1, 4)), 8)], ids=["G333", "C8"]
+)
+def test_levels_keep_their_blocks_in_repr_order(yd_cache, monkeypatch, source, max_degree):
+    """``_previous_level`` numbers a level's basis in the order of its dict,
+    which must be the repr order of its blocks, on both routes and for the
+    levels the cover adopts."""
+    made = []
+    init = sm._Calculator.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(sm._Calculator, "__init__", record)
+    sm.hilbert_compare(_compare_space(source, yd_cache), max_degree)
+    assert len(made) == 2
+    for calc in made:
+        assert len(calc._levels) == max_degree + 1
+        for level in calc._levels:
+            assert list(level) == sorted(level, key=repr)
+
+
 def test_compare_raises_the_standalone_budget_errors():
     """The cover of C5 (1,2) exceeds a budget of 7 at degree 5 (10
     candidates), the Nichols series only at degree 6 (8 candidates); the

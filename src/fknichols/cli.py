@@ -311,7 +311,15 @@ def _add_hilbert_args(p):
     src.add_argument("--cyclic", type=int, metavar="N")
     p.add_argument("--subset", help="comma-separated subset of 1..n-1")
     p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--modular", action="store_true")
+    p.add_argument(
+        "--modular",
+        action="store_true",
+        help="take every rank over F_q, q the smallest odd prime = 1 (mod L), "
+        "L the order of the braiding's scalars, instead of over Z[zeta_L].  "
+        "A rank cannot rise mod q, so every Nichols dimension it reports is "
+        "a lower bound for the exact one (and every quadratic-cover "
+        "dimension an upper bound)",
+    )
     p.add_argument(
         "--budget",
         type=_int_at_least(0),

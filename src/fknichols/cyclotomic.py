@@ -5,11 +5,11 @@ Scalars produced by braidings are roots of unity and stay in the compact
 the ring Z[zeta_N], with integer coefficients, once linear algebra needs
 sums.  ``zeta_ring(N)`` (``_kernels_py.ZetaRing``) owns the ring's
 tables: the power table of zeta, which ``integer_zeta_power`` reads, and
-the conjugations behind ``norm_cofactor``, which gives the echelons an
-inverse up to a rational integer.  Every product goes through the matrix
-of its fixed factor, applied by one kernel.  Nothing divides in it: every
-elimination runs in the ``_linalg`` echelons on integer coefficient
-tuples, and a ``ModularSpec`` maps Z[zeta_N] to a prime field.
+the conjugations behind ``ZetaRing.norm_cofactor``, which gives the
+echelons an inverse up to a rational integer.  Every product goes through
+the matrix of its fixed factor, applied by one kernel.  Nothing divides in
+it: every elimination runs in the ``_linalg`` echelons on integer
+coefficient tuples, and a ``ModularSpec`` maps Z[zeta_N] to a prime field.
 """
 
 from __future__ import annotations
@@ -78,12 +78,6 @@ def zeta_ring(n: int) -> ZetaRing:
 def integer_zeta_power(n: int, k: int) -> tuple[int, ...]:
     """Integer coefficient tuple of zeta_n^k on the power basis mod Phi_n."""
     return zeta_ring(n).powers[k % n]
-
-
-def norm_cofactor(a: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """c(a) = prod of sigma_k(a) over k in (Z/n)^x, k != 1, whose product
-    with a is the field norm N(a) (``ZetaRing.norm_cofactor``)."""
-    return zeta_ring(n).norm_cofactor(a)
 
 
 class RootOfUnity:

@@ -96,6 +96,25 @@ Q(zeta) and over F_p alike.
    falls short, A^d != B^d; each full block's echelon already spans the
    image of all its seeds, so the cover's own candidate phase runs on the
    echelons as they are, and from level d on it runs alone.
+8. The rank-only top.  No level reads the mul rows into the highest level
+   a caller asks for, so that level reduces each candidate's vector
+   without its tag column (see ``_Calculator._extend``), and a candidate
+   is a basis element exactly when its residual is nonempty.  The pivots
+   and ranks are those of the tagged reduction.  The tag columns sort
+   after every key column, so while a vector has a key column its lead is
+   one, and a step lead(p) v - lead(v) p, acting column by column, has the
+   key part lead(p) v_key - lead(v) p_key.  By induction every untagged
+   vector, residual or stored pivot, is a nonzero multiple of the key part
+   of the tagged one: a step multiplies the two multiples; exact content
+   stripping divides by integer contents, which may differ (the tagged
+   content also divides the tag entries), so the multiple changes by a
+   nonzero rational; and the ``_pivot`` normalisation multiplies by
+   c(a) / g, where c(t a) = t^(phi - 1) c(a) for rational t (each sigma_k
+   fixes Q), again a nonzero rational multiple, and the test for a
+   rational lead gives the same answer.  So each step meets the same
+   pivot, the key supports agree throughout, and the tagged residual's
+   lead is a tag column, the candidate dependent, exactly when the
+   untagged residual is empty.  The seeds carry no tag either way.
 """
 
 from __future__ import annotations
@@ -103,6 +122,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations as _permutations
 from math import gcd, lcm
+from operator import add
 
 from fknichols import _linalg
 from fknichols._kernels_py import _content, _cyc_mul, _scaled
@@ -115,6 +135,8 @@ from fknichols.cyclotomic import (
 )
 
 DEFAULT_BLOCK_BUDGET = 20_000
+# most products c zeta^e that ``_ExactScalars.vector`` keeps
+_TWISTS = 4096
 
 
 class ResourceBudgetError(RuntimeError):
@@ -275,20 +297,60 @@ class _ExactScalars:
         self.ring = zeta_ring(scalar_order)
         self.one = tuple([1] + [0] * (self.ring.phi - 1))
         self.zeta_rows = self.ring.powers
+        self._twisted: dict = {}
 
     def mul_zeta(self, c, e: int):
         if e == 0:
             return c
         return _cyc_mul(self.zeta_rows[e], (c,), self.ring)[0]
 
-    def products(self, c, co):
-        """c r for each r in co (``_scaled``: integer products for a
-        rational c, else one matrix of c for the whole row)."""
-        return _scaled(c, co, self.ring)
+    def vector(self, terms, dim: int, key: int | None = None) -> tuple:
+        """(D, idx, co) with (1/D) sum co_k e_(idx_k), keys in decreasing
+        order, equal to e_key (if a key is given) plus the sum over the
+        terms (c, e, a, (D', idx', co')) of c zeta^e (1/D') sum_j co'_j
+        e_(idx'_j dim + a), that is c zeta^e [y a'] ox a for a row of
+        ``_mul``.  D is the least common multiple of the rows' denominators,
+        divided by its gcd with the content of the vector.
 
-    @staticmethod
-    def scale(c, n: int):
-        return tuple(n * x for x in c)
+        One pass over the terms.  c zeta^e is looked up in a table of the
+        twists met so far, emptied when it holds ``_TWISTS`` of them: the
+        coefficients of a basis are few and repeat (the exact compare of
+        G(3,3,3) to degree 4 and the series of C8 (1,4) to degree 12 meet
+        8,353 twists with 310 distinct values).  c zeta^e then multiplies
+        its whole row at once (``_scaled``), and an empty row (y a' = 0) or
+        a row whose one coefficient is 1 (every pivot row) costs no
+        product.  Sums are tested for zero once, at the end."""
+        ring = self.ring
+        one = self.one
+        twisted = self._twisted
+        den = lcm(*[row[0] for *_, row in terms])
+        vec = {} if key is None else {key: (den,) + one[1:]}
+        get = vec.get
+        for c, e, a, (rden, ridx, rco) in terms:
+            if not ridx:
+                continue
+            if e:
+                m = twisted.get((c, e))
+                if m is None:
+                    if len(twisted) >= _TWISTS:
+                        twisted.clear()
+                    m = twisted[c, e] = _cyc_mul(self.zeta_rows[e], (c,), ring)[0]
+                c = m
+            if rden != den:
+                n = den // rden
+                c = tuple([n * x for x in c])
+            row = (c,) if len(rco) == 1 and rco[0] == one else _scaled(c, rco, ring)
+            for j, t in zip(ridx, row):
+                k = j * dim + a
+                s = get(k)
+                vec[k] = t if s is None else tuple(map(add, s, t))
+        idx = sorted(vec, reverse=True)
+        co = [vec[k] for k in idx]
+        if (0,) * len(one) in co:
+            idx = [k for k, c in zip(idx, co) if any(c)]
+            co = [c for c in co if any(c)]
+        den, co = self.lowest_terms(den, co)
+        return den, idx, co
 
     @staticmethod
     def nonzero(c) -> bool:
@@ -343,12 +405,26 @@ class _ModularScalars:
             return c
         return c * self.zeta_rows[e] % self.p
 
-    def products(self, c, co):
+    def vector(self, terms, dim: int, key: int | None = None) -> tuple:
+        """As ``_ExactScalars.vector``, with D = 1 (every row has
+        denominator 1).  The products are added as plain integers, and
+        each key is reduced mod p once, at the end."""
+        zeta = self.zeta_rows
+        vec = {} if key is None else {key: 1}
+        get = vec.get
+        for c, e, a, (_, ridx, rco) in terms:
+            if e:
+                c *= zeta[e]
+            for j, r in zip(ridx, rco):
+                k = j * dim + a
+                vec[k] = get(k, 0) + c * r
         p = self.p
-        return [c * r % p for r in co]
-
-    def scale(self, c, n: int):
-        return c * n % self.p
+        idx = sorted(vec, reverse=True)
+        co = [vec[k] % p for k in idx]
+        if 0 in co:
+            idx = [k for k, x in zip(idx, co) if x]
+            co = [x for x in co if x]
+        return 1, idx, co
 
     def nonzero(self, c) -> bool:
         return c % self.p != 0
@@ -358,10 +434,6 @@ class _ModularScalars:
 
     def new_echelon(self):
         return _linalg.ModularEchelon(self.p)
-
-    @staticmethod
-    def lowest_terms(den: int, co):
-        return den, co
 
     def solve(self, den: int, own, idx, co):
         """As ``_ExactScalars.solve``; every row has denominator 1.  The
@@ -415,10 +487,18 @@ class _Calculator:
     level: ``self._mul[b * dim + a]`` is the row (D, idx, co) with
     [y_b a] = (1/D) sum co_k y_(idx_k), D a positive integer (1 in modular
     mode).  A route supplies only the vector of a candidate (``_image``)
-    and the vectors that stand for zero (``_seeds``); ``_level`` is the
-    one place that checks a degree.  ``self._quotient`` is None, or, in the
+    and the vectors that stand for zero (``_seeds``), and the scalar engine
+    assembles each vector in one pass (``vector``); ``_level`` is the one
+    place that checks a degree.  ``self._quotient`` is None, or, in the
     cover of ``hilbert_compare``, the Nichols calculator whose levels this
     one has adopted so far (points 6 and 7).
+
+    ``self.top`` is None, or the highest degree the caller will ask for
+    (``_hilbert`` and ``hilbert_compare`` set it to ``max_degree``).  That
+    level is computed rank-only (point 8): it has its basis vectors, as
+    without a top, but no right-multiplication rows, so ``self._mul`` is
+    None once it is built, and asking for a degree above the top raises
+    ValueError rather than build a level on rows that were never made.
 
     ``block_budget`` bounds the candidates (basis element of the level
     below, letter) of one multidegree, doubled in modular mode, where
@@ -441,10 +521,16 @@ class _Calculator:
         self._levels: list[dict] = [{(): [([0], [self.scalars.one])]}]
         self._mul: list = []
         self._quotient: _Calculator | None = None
+        self.top: int | None = None
 
     def _level(self, degree: int) -> dict:
         if degree < 0:
             raise ValueError("degree must be nonnegative")
+        if self.top is not None and degree > self.top:
+            raise ValueError(
+                f"degree {degree} is above the top degree {self.top} of this "
+                "calculator, whose top level keeps no multiplication rows"
+            )
         while len(self._levels) <= degree:
             self._extend()
         return self._levels[degree]
@@ -494,6 +580,11 @@ class _Calculator:
         divides by an integer content), so the row of y_b a has an integer
         denominator and nothing divides in Q(zeta).  A pivot's basis
         element is D y_b a itself.
+
+        At ``self.top`` the candidates enter without their tag columns and
+        a candidate is a pivot exactly when ``insert`` keeps its residual
+        (point 8): the level gets the same basis vectors, but no row is
+        solved and ``self._mul`` becomes None.
         """
         scalars = self.scalars
         dim = self.space.dim
@@ -524,7 +615,7 @@ class _Calculator:
         for block, terms in self._seeds():
             if room is not None and not room.get(block):
                 continue
-            _, idx, co = self._vector(terms)
+            _, idx, co = scalars.vector(terms, dim)
             if block not in echelons:
                 echelons[block] = scalars.new_echelon()
             if echelons[block].insert([tag - 1 - k for k in idx], co) and room is not None:
@@ -534,7 +625,8 @@ class _Calculator:
             self._mul = quotient._mul
             return
         self._quotient = None
-        mul = [None] * tag
+        rank_only = len(self._levels) == self.top
+        mul = None if rank_only else [None] * tag
         level = {}
         count = 0
         for block in blocks:
@@ -542,7 +634,12 @@ class _Calculator:
             found = []
             for key in candidates[block]:
                 den, idx, co = self._image(key, basis)
-                cols = [tag - 1 - k for k in idx] + [tag + count]
+                cols = [tag - 1 - k for k in idx]
+                if rank_only:
+                    if echelon.insert(cols, co):
+                        found.append((idx, co))
+                    continue
+                cols.append(tag + count)
                 ridx, rco = echelon.reduce(cols, co + [scalars.one])
                 if ridx[0] < tag:
                     echelon.append(ridx, rco)
@@ -556,55 +653,45 @@ class _Calculator:
         self._mul = mul
         self._levels.append(level)
 
-    def _vector(self, terms, key: int | None = None) -> tuple:
-        """(D, idx, co) with (1/D) sum co_k e_(idx_k), keys in decreasing
-        order, equal to e_key (if a key is given) plus the sum over the
-        terms (c, a, (D', idx', co')) of c (1/D') sum_j co'_j e_(idx'_j dim + a),
-        that is c [y a'] ox a for a row of ``_mul``; c multiplies its whole
-        row at once (``products``), and an empty row (y a' = 0) or a row
-        whose one coefficient is 1 (every pivot row) costs no product.  D is
-        the least common multiple of the rows' denominators, divided by its
-        gcd with the content of the vector."""
-        scalars = self.scalars
-        one = scalars.one
-        dim = self.space.dim
-        den = lcm(*(row[0] for _, _, row in terms))
-        vec = {} if key is None else {key: scalars.scale(one, den)}
-        for c, a, (rden, ridx, rco) in terms:
-            if not ridx:
-                continue
-            if rden != den:
-                c = scalars.scale(c, den // rden)
-            row = (c,) if len(rco) == 1 and rco[0] == one else scalars.products(c, rco)
-            for j, t in zip(ridx, row):
-                k = j * dim + a
-                vec[k] = scalars.add(vec[k], t) if k in vec else t
-        items = sorted(((k, c) for k, c in vec.items() if scalars.nonzero(c)), reverse=True)
-        den, co = scalars.lowest_terms(den, [c for _, c in items])
-        return den, [k for k, _ in items], co
-
 
 class NicholsCalculator(_Calculator):
     """Graded dimensions of B(V), level by level in quotient coordinates:
     the vector of y_b a is phi_d(y_b a), and there are no seeds, since
     phi_d is injective on B^d."""
 
+    def __init__(
+        self,
+        space: BraidedSpace,
+        mode: str = "exact",
+        spec: ModularSpec | None = None,
+        block_budget: int | None = DEFAULT_BLOCK_BUDGET,
+    ):
+        super().__init__(space, mode, spec, block_budget)
+        # _steps[a][a1] = (a2 - a1, a3, e) for Psi(e_a1 ox e_a) = zeta^e e_a2 ox e_a3
+        self._steps = [[] for _ in range(space.dim)]
+        for a, steps in enumerate(self._steps):
+            for a1 in range(space.dim):
+                a2, a3, e = space.braid_pair(a1, a)
+                steps.append((a2 - a1, a3, e))
+
     def _image(self, key: int, basis) -> tuple:
-        """phi_d(y_b a) as a ``_vector``, for key = b * dim + a, by the
-        recursion phi_d(x a) = x ox a + (mul ox Id)(Id ox Psi)(phi_(d-1)(x) ox a)."""
-        scalars = self.scalars
+        """phi_d(y_b a) as a ``vector``, for key = b * dim + a, by the
+        recursion phi_d(x a) = x ox a + (mul ox Id)(Id ox Psi)(phi_(d-1)(x) ox a):
+        an entry c at the pair (b1, a1) of phi_(d-1)(y_b) is the term
+        c zeta^e [y_b1 a2] ox a3, whose row of ``_mul`` is b1 dim + a2, and
+        is left out when that row is empty (y_b1 a2 = 0)."""
         dim = self.space.dim
-        targets = self.space.braid_targets
-        exps = self.space.braid_exps
         b, a = divmod(key, dim)
         terms = []
         if len(self._levels) > 1:
+            steps = self._steps[a]
+            mul = self._mul
             for k, c in zip(*basis[b]):
-                b1, a1 = divmod(k, dim)
-                pair = a1 * dim + a
-                a2, a3 = divmod(targets[pair], dim)
-                terms.append((scalars.mul_zeta(c, exps[pair]), a3, self._mul[b1 * dim + a2]))
-        return self._vector(terms, key)
+                shift, a3, e = steps[k % dim]
+                row = mul[k + shift]
+                if row[1]:
+                    terms.append((c, e, a3, row))
+        return self.scalars.vector(terms, dim, key)
 
     def _seeds(self):
         return ()
@@ -732,7 +819,7 @@ class QuadraticCalculator(_Calculator):
 
     def _seeds(self):
         """(block, terms) of sum r_ab [y_c a] ox b, as the terms of a
-        ``_vector``, for y_c in the basis of level d - 2 and r in R."""
+        ``vector``, for y_c in the basis of level d - 2 and r in R."""
         if len(self._levels) < 2:
             return
         dim = self.space.dim
@@ -740,7 +827,7 @@ class QuadraticCalculator(_Calculator):
         for block, vectors in self._previous_level(2):
             for _ in vectors:
                 for rel_block, rel in self._relations:
-                    terms = [(r, b, self._mul[c * dim + a]) for a, b, r in rel]
+                    terms = [(r, 0, b, self._mul[c * dim + a]) for a, b, r in rel]
                     yield tuple(sorted(block + rel_block)), terms
                 c += 1
 
@@ -769,6 +856,7 @@ def _series(levels: list[dict]) -> HilbertData:
 def _hilbert(calc: _Calculator, max_degree: int) -> HilbertData:
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
+    calc.top = max_degree
     return _series([calc.multidegree_dims(d) for d in range(max_degree + 1)])
 
 
@@ -812,15 +900,17 @@ def hilbert_compare(
     The two calculators run in lockstep, one degree at a time, and the
     cover adopts each Nichols level while the two agree (points 6 and 7 of
     the module docstring); its own step takes over from the first level
-    that differs.  The series are those of ``nichols_hilbert`` and
-    ``quadratic_hilbert``, and so are the errors: a ResourceBudgetError of
-    the Nichols series is raised at once, and one of the cover is held
-    until the Nichols series has reached max_degree, then raised."""
+    that differs; both compute level max_degree rank-only (point 8).  The
+    series are those of ``nichols_hilbert`` and ``quadratic_hilbert``, and
+    so are the errors: a ResourceBudgetError of the Nichols series is
+    raised at once, and one of the cover is held until the Nichols series
+    has reached max_degree, then raised."""
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
     nichols = NicholsCalculator(space, mode, spec, block_budget)
     cover = QuadraticCalculator(space, mode, spec, block_budget)
     cover._quotient = nichols
+    nichols.top = cover.top = max_degree
     nich_levels: list[dict] = []
     quad_levels: list[dict] = []
     held = None

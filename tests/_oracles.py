@@ -12,8 +12,8 @@
 * The Z[zeta] product as a convolution reduced mod the cyclotomic
   polynomial, ``_cyc_mul``, the package's product before it went through
   the matrix of a fixed factor.  The tests compare ``_kernels_py._cyc_mul``,
-  ``CyclotomicNumber`` products and ``norm_cofactor`` against it.  Its
-  reduction rows and the powers of zeta come from ``zeta_power``, a long
+  ``CyclotomicNumber`` products and ``ZetaRing.norm_cofactor`` against it.
+  Its reduction rows and the powers of zeta come from ``zeta_power``, a long
   division by the cyclotomic polynomial, not from the package's table.
 * The sparse Z[zeta] combination kernel as it was before it special-cased
   rational-integer multipliers: every entry goes through the convolution

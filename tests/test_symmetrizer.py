@@ -671,6 +671,81 @@ def test_compare_raises_the_standalone_budget_errors():
             assert error(sm.hilbert_compare, mode, budget) == expected, (mode, budget)
 
 
+@pytest.mark.parametrize("mode", ["exact", "modular"])
+@pytest.mark.parametrize("source, max_degree, divergence", COMPARE_INPUTS, ids=str)
+def test_rank_only_top_changes_no_series_and_no_lower_level(
+    yd_cache, source, max_degree, divergence, mode
+):
+    """``_hilbert`` and ``hilbert_compare`` build their top level rank-only
+    (point 8 of the module docstring): every series must equal that of a
+    calculator with no top, and every level below the top must hold the
+    same basis vectors and ``_mul`` rows; the top level holds the same basis
+    vectors and no rows."""
+    space = _compare_space(source, yd_cache)
+    series = []
+    for cls in (sm.NicholsCalculator, sm.QuadraticCalculator):
+        topped, plain = cls(space, mode), cls(space, mode)
+        topped.top = max_degree
+        for d in range(max_degree + 1):
+            topped.graded_dim(d)
+            plain.graded_dim(d)
+            assert topped._levels == plain._levels
+            assert topped._mul == (plain._mul if d < max_degree else None)
+        series.append(sm._series([plain.multidegree_dims(d) for d in range(max_degree + 1)]))
+    nichols, quadratic = series
+    assert sm.nichols_hilbert(space, max_degree, mode) == nichols
+    assert sm.quadratic_hilbert(space, max_degree, mode) == quadratic
+    cmp = sm.hilbert_compare(space, max_degree, mode)
+    assert (cmp.nichols, cmp.quadratic) == (nichols, quadratic)
+
+
+@pytest.mark.parametrize("mode", ["exact", "modular"])
+def test_a_degree_above_the_top_raises(mode):
+    """The top level keeps no ``_mul`` rows, so a calculator refuses a
+    degree above its top instead of building on rows it never made."""
+    space = diag_space(5, (1, 2))
+    for cls in (sm.NicholsCalculator, sm.QuadraticCalculator):
+        calc = cls(space, mode)
+        calc.top = 3
+        assert calc.graded_dim(3) == cls(space, mode).graded_dim(3)
+        with pytest.raises(ValueError, match="degree 4 is above the top degree 3"):
+            calc.graded_dim(4)
+
+
+@pytest.mark.parametrize(
+    "source, max_degree",
+    [
+        (dg.DiagonalBraiding(2, ((0,),)), 5),
+        (dg.DiagonalBraiding(2, ((0, 0), (1, 0))), 4),
+        ((5, (1, 2)), 6),
+        ((8, (1, 4)), 6),
+        ((2, 1, 2), 5),
+        ((3, 3, 2), 4),
+    ],
+    ids=str,
+)
+def test_modular_dimensions_bound_the_exact_ones(yd_cache, source, max_degree):
+    """Modular mode maps Z[zeta_L] onto F_q and takes ranks there, and a rank
+    cannot rise under that map.  So each Nichols dimension (the rank of
+    S_d) is at most the exact one, and each quadratic-cover dimension
+    (dim T^d minus the rank of the ideal in degree d) at least the exact
+    one.  The Nichols bound is strict for the one-dimensional braiding with
+    q_11 = 1, DiagonalBraiding(2, ((0,),)): q = 3, and S_3 = 3! = 0 mod 3,
+    so modular mode gives dim B^3 = 0 where the exact dimension is 1."""
+    if isinstance(source, dg.DiagonalBraiding):
+        space = sm.space_from_diagonal(source)
+    else:
+        space = _compare_space(source, yd_cache)
+    exact = sm.hilbert_compare(space, max_degree)
+    modular = sm.hilbert_compare(space, max_degree, "modular")
+    for d in range(max_degree + 1):
+        assert modular.nichols.per_degree[d] <= exact.nichols.per_degree[d], d
+        assert modular.quadratic.per_degree[d] >= exact.quadratic.per_degree[d], d
+    if source == dg.DiagonalBraiding(2, ((0,),)):
+        assert exact.nichols.per_degree == (1, 1, 1, 1, 1, 1)
+        assert modular.nichols.per_degree == (1, 1, 1, 0, 0, 0)
+
+
 def test_modular_mode_matches_exact(b2_space):
     for d in range(5):
         assert sm.nichols_graded_dim(b2_space, d, mode="modular") == (

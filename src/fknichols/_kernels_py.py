@@ -5,10 +5,13 @@ This is their only implementation; the engines call them through
 
 Conventions:
 
-* Braiding exponent data is integer arithmetic mod N.  A "Cartan m-row" for
-  vertex ``i`` stores ``m[j] = -a_ij >= 0`` for ``j != i``, ``m[i] = -2``
-  (so the reflection formula is uniform in j), and ``m[j] = -1`` marks an
-  undefined entry.
+* Braiding exponent data is integer arithmetic mod N.  A generalized
+  Dynkin diagram has one form, (labels, rows): ``labels[j]`` is the
+  exponent of q_jj and ``rows[j][k]`` that of q_jk q_kj, symmetric with 0
+  on the diagonal, both reduced mod N.
+* A "Cartan m-row" for vertex ``i`` stores ``m[j] = -a_ij >= 0`` for
+  ``j != i``, ``m[i] = -2`` (so the reflection formula is uniform in j),
+  and ``m[j] = -1`` marks an undefined entry.
 * Exact sparse vectors over the ring Z[zeta] are pairs ``(idx, co)`` where
   ``idx`` is a strictly increasing list of ints and ``co`` a parallel list
   of coefficient tuples of length phi (the degree of the cyclotomic ring).
@@ -25,25 +28,22 @@ UNDEFINED = -1
 DIAGONAL_M = -2
 
 
-def cartan_mrow(diag, edge, n_mod, i):
-    """Cartan m-row at vertex i from diagram exponent data.
+def cartan_mrow(labels, rows, n_mod, i):
+    """Cartan m-row at vertex i of the diagram (labels, rows).  Reads
+    ``rows[i]`` once and no other row.
 
-    ``diag[j]`` is the exponent of q_jj, ``edge[j][k]`` the exponent of
-    q_jk q_kj (symmetric, 0 on the diagonal), both mod ``n_mod``.  Reads
-    ``edge[i]`` once and no other row.
-
-    With d = diag[i] != 0 and g = gcd(n_mod, d), q_ii has order n_g =
+    With d = labels[i] != 0 and g = gcd(n_mod, d), q_ii has order n_g =
     n_mod / g, and m_ij for an edge e != 0 is the least m >= 0 with
     m d = -e (mod n_mod), which exists iff g | e, and n_g - 1 otherwise.
     """
-    r = len(diag)
+    r = len(labels)
     row = [0] * r
     row[i] = DIAGONAL_M
-    d = diag[i] % n_mod
+    d = labels[i] % n_mod
     g = gcd(n_mod, d)
     n_g = n_mod // g
     inv = None
-    for j, e in enumerate(edge[i]):
+    for j, e in enumerate(rows[i]):
         e %= n_mod
         if e == 0 or j == i:
             continue
@@ -78,50 +78,23 @@ def reflect_exponent_matrix(b, n_mod, i, mrow):
     return out
 
 
-def reflected_labels(diag, edge, n_mod, i, mrow):
+def reflected_labels(labels, rows, n_mod, i, mrow):
     """Vertex labels after reflecting at vertex i: d'_j = d_j + m_j e_ij +
-    m_j^2 d_i, and d'_i = d_i.  Reads row i of ``edge`` only."""
-    di = diag[i] % n_mod
+    m_j^2 d_i, and d'_i = d_i.  Reads row i only."""
+    di = labels[i] % n_mod
     out = [
-        (d + mj * e + mj * mj * di) % n_mod for d, e, mj in zip(diag, edge[i], mrow)
+        (d + mj * e + mj * mj * di) % n_mod for d, e, mj in zip(labels, rows[i], mrow)
     ]
-    out[i] = diag[i]
+    out[i] = labels[i]
     return out
 
 
-def reflect_diagram(diag, edge, n_mod, i, mrow):
-    """Reflected (diag, edge) diagram data at vertex i."""
-    r = len(diag)
-    di = diag[i] % n_mod
-    new_diag = reflected_labels(diag, edge, n_mod, i, mrow)
-    new_edge = [[0] * r for _ in range(r)]
-    for j in range(r):
-        for k in range(j + 1, r):
-            if j == i or k == i:
-                t = j + k - i
-                val = (-edge[i][t] - 2 * mrow[t] * di) % n_mod
-            else:
-                val = (
-                    edge[j][k]
-                    + mrow[j] * edge[i][k]
-                    + mrow[k] * edge[i][j]
-                    + 2 * mrow[j] * mrow[k] * di
-                ) % n_mod
-            new_edge[j][k] = val
-            new_edge[k][j] = val
-    return new_diag, new_edge
-
-
-def reflected_row(diag, edge, n_mod, i, mrow, v):
-    """Row v of the edge matrix of ``reflect_diagram(diag, edge, n_mod, i,
-    mrow)``, in O(r): reads ``diag[i]`` and rows i and v of ``edge`` only.
-
-    ``reflect_diagram`` fills the symmetric matrix one entry pair at a time,
-    which is cheaper when every row is wanted; this is for callers that test
-    a reflected diagram from a few of its rows.
-    """
-    di = diag[i] % n_mod
-    erow = edge[i]
+def reflected_row(labels, rows, n_mod, i, mrow, v):
+    """Row v of the diagram reflected at vertex i, in O(r): reads
+    ``labels[i]`` and rows i and v only.  The one copy of the edge
+    reflection formula."""
+    di = labels[i] % n_mod
+    erow = rows[i]
     if v == i:
         row = [(-e - 2 * mk * di) % n_mod for e, mk in zip(erow, mrow)]
     else:
@@ -129,29 +102,61 @@ def reflected_row(diag, edge, n_mod, i, mrow, v):
         eiv = erow[v]
         c = eiv + 2 * mv * di
         # e'_vk = e_vk + m_v e_ik + m_k (e_iv + 2 m_v d_i) for k != i, v
-        row = [(a + mv * b + mk * c) % n_mod for a, b, mk in zip(edge[v], erow, mrow)]
+        row = [(a + mv * b + mk * c) % n_mod for a, b, mk in zip(rows[v], erow, mrow)]
         row[i] = (-eiv - 2 * mv * di) % n_mod
     row[v] = 0
     return row
 
 
-def exposed_vertex(diag, edge, n_mod, j, mrow):
-    """Lowest vertex that reflecting at j leaves with label 1 and an incident
-    edge: ``_state_failure_vertex`` of the reflected diagram, 0-based, or
-    None.  The reflection at j must be defined (``mrow`` has no UNDEFINED).
+def reflect_diagram(labels, rows, n_mod, i, mrow):
+    """The diagram reflected at vertex i, as the tuples (labels, rows) that
+    key the groupoid exploration: ``reflected_labels`` and every
+    ``reflected_row``."""
+    new_rows = []
+    for v in range(len(labels)):
+        new_rows.append(tuple(reflected_row(labels, rows, n_mod, i, mrow, v)))
+    return tuple(reflected_labels(labels, rows, n_mod, i, mrow)), tuple(new_rows)
 
-    Reads row j of ``edge``, and row v only for a vertex v whose new label
-    is 1, so a diagram whose rows are computed on demand is tested in O(r)
-    unless such a vertex appears.
-    """
-    labels = reflected_labels(diag, edge, n_mod, j, mrow)
+
+class ReflectedRows(dict):
+    """The rows of the diagram (labels, rows) reflected at vertex i, each
+    computed by ``reflected_row`` when first read, for callers that test a
+    reflected diagram from a few of its rows.  One instance serves one
+    reflection, so no row outlives it."""
+
+    __slots__ = ("_args",)
+
+    def __init__(self, labels, rows, n_mod, i, mrow):
+        self._args = (labels, rows, n_mod, i, mrow)
+
+    def __missing__(self, v):
+        row = self[v] = reflected_row(*self._args, v)
+        return row
+
+
+def failure_vertex(labels, rows, n_mod):
+    """Lowest vertex (0-based) with label 1 and an incident edge, or None:
+    the vertex where the diagram's Weyl groupoid fails.  Reads row v only
+    for a vertex v labelled 1, so a ``ReflectedRows`` is tested in O(r)
+    unless such a vertex appears."""
     for v, label in enumerate(labels):
-        if label % n_mod == 0 and any(reflected_row(diag, edge, n_mod, j, mrow, v)):
+        if label % n_mod == 0 and any(rows[v]):
             return v
     return None
 
 
-def scan_bad_reflection(diag, edge, n_mod):
+def exposed_vertex(labels, rows, n_mod, j, mrow):
+    """``failure_vertex`` of the diagram reflected at j, whose rows are
+    computed on demand (``ReflectedRows``).  The reflection at j must be
+    defined (``mrow`` has no UNDEFINED)."""
+    return failure_vertex(
+        reflected_labels(labels, rows, n_mod, j, mrow),
+        ReflectedRows(labels, rows, n_mod, j, mrow),
+        n_mod,
+    )
+
+
+def scan_bad_reflection(labels, rows, n_mod):
     """First (j, v) such that reflecting at j gives vertex v label 1 while v
     keeps an incident edge, scanning all j at once; None if no single
     reflection exposes a failure.
@@ -159,11 +164,11 @@ def scan_bad_reflection(diag, edge, n_mod):
     Each j costs one m-row and one ``exposed_vertex`` call, so the whole
     scan is quadratic instead of cubic.
     """
-    for j in range(len(diag)):
-        if diag[j] % n_mod == 0:
+    for j in range(len(labels)):
+        if labels[j] % n_mod == 0:
             # undefined (visible at the current state) or the identity
             continue
-        v = exposed_vertex(diag, edge, n_mod, j, cartan_mrow(diag, edge, n_mod, j))
+        v = exposed_vertex(labels, rows, n_mod, j, cartan_mrow(labels, rows, n_mod, j))
         if v is not None:
             return j, v
     return None

@@ -1,7 +1,8 @@
 """The integer kernels, as the engines call them.
 
 Every kernel has one implementation, in the module ``_kernels_py``; this
-module only binds its names.  Three things outside the package rely on
+module only binds its names; the groupoid kernels all read the one diagram
+form (labels, rows) set out there.  Three things outside the package rely on
 this layout, so keep it:
 
 * ``BACKEND`` is the constant ``"py"``: the benchmark (``perfbench/``) counts
@@ -22,7 +23,8 @@ cartan_mrow = _kernels_py.cartan_mrow
 reflect_exponent_matrix = _kernels_py.reflect_exponent_matrix
 reflect_diagram = _kernels_py.reflect_diagram
 reflected_labels = _kernels_py.reflected_labels
-reflected_row = _kernels_py.reflected_row
+ReflectedRows = _kernels_py.ReflectedRows
+failure_vertex = _kernels_py.failure_vertex
 exposed_vertex = _kernels_py.exposed_vertex
 scan_bad_reflection = _kernels_py.scan_bad_reflection
 combine_exact = _kernels_py.combine_exact

@@ -6,12 +6,13 @@ braiding exists, by one route per n.  A prime is decided by proof: its
 braiding is of Cartan type (``check_single``).  A failing divisor r | n
 settles n by inheritance unless verification mode forces direct
 recomputation.  Other composites first try the heuristic words s_j s_i s_p
-(p the smallest prime factor), up to a cap, on the start diagram in
-integers: vertex i has label i and edge i + j mod n.  The start object is
-reflected in full once, to s_p(start); each word is then decided from O(r)
-entries of s_i s_p(start) instead of from whole rank-r diagrams: its labels,
-its row j and the m-row at j give the labels after s_j, and a further row is
-read only for a vertex that the word leaves with label 1.  When the capped
+(p the smallest prime factor), up to a cap, on the start diagram in the
+kernels' (labels, rows) form: vertex i has label i and edge i + j mod n.
+The start object is reflected in full once, to s_p(start); each word is
+then decided from O(r) entries of s_i s_p(start) instead of from whole
+rank-r diagrams: its labels, its row j and the m-row at j give the labels
+after s_j, and a further row is computed (``backend.ReflectedRows``) only
+for a vertex that the word leaves with label 1.  When the capped
 words find no failure, the whole three-reflection word family is scanned at
 high rank, and a breadth-first exploration of the groupoid is the complete
 fallback.  A checkpoint records the sweep parameters in its first line and
@@ -96,41 +97,31 @@ def _heuristic_pairs(r: int):
             yield hi, lo
 
 
-class _ReflectedRows(dict):
-    """Rows of the edge matrix of s_i S, each computed from the rows of S
-    when first read.  One instance serves one word, so no row outlives it."""
-
-    def __init__(self, diag, edge, n, i, mrow):
-        super().__init__()
-        self._args = (diag, edge, n, i, mrow)
-
-    def __missing__(self, v):
-        row = self[v] = backend.reflected_row(*self._args, v)
-        return row
-
-
-def _start_diagram(n: int) -> tuple[list[int], list[list[int]]]:
-    """(diag, edge) of the full cyclic braiding of C_n in integers mod n:
-    vertex i has label i and edge (i + j) mod n to vertex j.  These are
-    ``full_cyclic_braiding(n)._diag()`` and ``._edge_matrix()``."""
+def _start_diagram(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(labels, rows) of the full cyclic braiding of C_n in integers mod n:
+    vertex i has label i and edge (i + j) mod n to vertex j.  This is
+    ``full_cyclic_braiding(n).diagram()``, without the exponent matrix.
+    Row i is the run i + 1, ..., i + n - 1 of residues mod n, sliced from
+    two periods, with 0 in place of 2i at its own vertex."""
+    cycle = tuple(range(n)) * 2
     labels = range(1, n)
-    edge = [[(a + b) % n if a != b else 0 for b in labels] for a in labels]
-    return list(labels), edge
+    rows = tuple([cycle[a + 1 : 2 * a] + (0,) + cycle[2 * a + 1 : a + n] for a in labels])
+    return tuple(labels), rows
 
 
 def _first_reflection(n: int):
-    """(p, diag, edge, failing vertex or None) of s_p(start), for p the
+    """(p, labels, rows, failing vertex or None) of s_p(start), for p the
     smallest prime factor of a composite n and start the diagram of
-    ``_start_diagram``.
+    ``_start_diagram``; the vertex is 0-based, as the kernels give it.
 
     s_p is always defined: only a label 0 makes a Cartan entry undefined,
     and every label 1..n-1 is nonzero mod n.
     """
     p = smallest_prime_factor(n)
-    diag, edge = _start_diagram(n)
-    m = backend.cartan_mrow(diag, edge, n, p - 1)
-    diag, edge = backend.reflect_diagram(diag, edge, n, p - 1, m)
-    return p, diag, edge, diagonal._state_failure_vertex(diag, edge, n)
+    labels, rows = _start_diagram(n)
+    m = backend.cartan_mrow(labels, rows, n, p - 1)
+    labels, rows = backend.reflect_diagram(labels, rows, n, p - 1, m)
+    return p, labels, rows, backend.failure_vertex(labels, rows, n)
 
 
 def _heuristic_search(n: int, first, cap: int):
@@ -150,24 +141,24 @@ def _heuristic_search(n: int, first, cap: int):
     A diagram without a failing vertex has a defined reflection at every
     vertex, so no m-row of S0 or S1 is undefined.
     """
-    p, diag, edge, bad = first
+    p, labels, rows, bad = first
     if bad is not None:
-        return (p,), bad
+        return (p,), bad + 1
     # (m-row at i of S0, labels of S1) per prefix s_i s_p; the first cap
     # words use only O(sqrt(cap)) distinct i
     prefix: dict[int, tuple] = {}
     for i, j in islice(_heuristic_pairs(n - 1), cap):
         i0, j0 = i - 1, j - 1
         if i not in prefix:
-            m_i = backend.cartan_mrow(diag, edge, n, i0)
-            bad = backend.exposed_vertex(diag, edge, n, i0, m_i)
+            m_i = backend.cartan_mrow(labels, rows, n, i0)
+            bad = backend.exposed_vertex(labels, rows, n, i0, m_i)
             if bad is not None:
                 return (p, i), bad + 1
-            prefix[i] = m_i, backend.reflected_labels(diag, edge, n, i0, m_i)
-        m_i, diag1 = prefix[i]
-        rows1 = _ReflectedRows(diag, edge, n, i0, m_i)
-        m_j = backend.cartan_mrow(diag1, rows1, n, j0)
-        bad = backend.exposed_vertex(diag1, rows1, n, j0, m_j)
+            prefix[i] = m_i, backend.reflected_labels(labels, rows, n, i0, m_i)
+        m_i, labels1 = prefix[i]
+        rows1 = backend.ReflectedRows(labels, rows, n, i0, m_i)
+        m_j = backend.cartan_mrow(labels1, rows1, n, j0)
+        bad = backend.exposed_vertex(labels1, rows1, n, j0, m_j)
         if bad is not None:
             return (p, i, j), bad + 1
     return None
@@ -183,15 +174,15 @@ def _scan_word_family(n: int, first):
     Returns (witness, failing_vertex) or None; ties go to the shortest
     witness and then the lowest reflection index.
     """
-    p, diag1, edge1, _ = first
-    hit = backend.scan_bad_reflection(diag1, edge1, n)
+    p, labels1, rows1, _ = first
+    hit = backend.scan_bad_reflection(labels1, rows1, n)
     if hit is not None:
         j, v = hit
         return (p, j + 1), v + 1
     for i in range(1, n):
-        m = backend.cartan_mrow(diag1, edge1, n, i - 1)
-        diag2, edge2 = backend.reflect_diagram(diag1, edge1, n, i - 1, m)
-        hit = backend.scan_bad_reflection(diag2, edge2, n)
+        m = backend.cartan_mrow(labels1, rows1, n, i - 1)
+        labels2, rows2 = backend.reflect_diagram(labels1, rows1, n, i - 1, m)
+        hit = backend.scan_bad_reflection(labels2, rows2, n)
         if hit is not None:
             j, v = hit
             return (p, i, j + 1), v + 1

@@ -303,10 +303,10 @@ def find_modular_spec(order: int, index: int = 0, min_prime: int = 3) -> Modular
         if q >= min_prime and is_prime(q):
             if found == index:
                 for g in range(2, q):
+                    # z of order exactly ``order``; above order 1 this test
+                    # rejects z = 1, and at order 1, z = 1 is the only image
                     z = pow(g, (q - 1) // order, q)
-                    if z != 1 and all(
-                        pow(z, order // p, q) != 1 for p in prime_factors(order)
-                    ):
+                    if all(pow(z, order // p, q) != 1 for p in prime_factors(order)):
                         return ModularSpec(q, order, z)
             found += 1
         k += 1

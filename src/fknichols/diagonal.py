@@ -5,9 +5,12 @@ Vertices are numbered 1..rank in the public API, matching the reflection
 words s_1, s_2, ... used throughout.  A braiding stores the exponent matrix
 b with q_ij = zeta_N^(b_ij); everything the groupoid needs reduces to
 integer arithmetic mod N.  The generalized Dynkin diagram of a braiding,
-vertex labels q_ii and edge labels q_ij q_ji, is its ``GroupoidObject``
-(``canonical_object``): the object of the Weyl groupoid and the key of its
-exploration.  ``cartan_matrix`` gives the Cartan matrix as a tuple of rows.
+vertex labels q_ii and edge labels q_ij q_ji, is the object of its Weyl
+groupoid.  Its one form is ``DiagonalBraiding.diagram()``, the tuples
+(labels, rows) that the kernels of ``backend`` read: the exploration keys
+its objects by them and reports each as a ``GroupoidObject``
+(``canonical_object``).  ``cartan_matrix`` gives the Cartan matrix as a
+tuple of rows.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, prod
+from math import prod
 
 from fknichols import backend
 from fknichols.cyclotomic import RootOfUnity
@@ -87,17 +90,15 @@ class DiagonalBraiding:
                         total += aj * bk * row[k]
         return total % self.order
 
-    def _diag(self) -> list[int]:
-        return [self.exponents[i][i] for i in range(self.rank)]
-
-    def _edge_matrix(self) -> list[list[int]]:
-        n = self.order
-        r = self.rank
-        b = self.exponents
-        return [
-            [(b[i][j] + b[j][i]) % n if i != j else 0 for j in range(r)]
-            for i in range(r)
-        ]
+    def diagram(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(labels, rows): the exponents of the vertex labels q_ii, and the
+        symmetric rows of the exponents of q_ij q_ji mod order, with 0 on
+        the diagonal."""
+        n, b = self.order, self.exponents
+        r = range(self.rank)
+        labels = tuple([b[i][i] for i in r])
+        rows = tuple([tuple([(b[i][j] + b[j][i]) % n if i != j else 0 for j in r]) for i in r])
+        return labels, rows
 
 
 def cyclic_braiding(n: int, subset) -> DiagonalBraiding:
@@ -144,33 +145,25 @@ class GroupoidObject:
         return self.edges[pos]
 
 
-def _pack_state(diag: list[int], edge: list[list[int]]) -> tuple:
-    r = len(diag)
-    flat = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            flat.append(edge[i][j])
-    return tuple(diag), tuple(flat)
+def _object(order: int, diagram) -> GroupoidObject:
+    """The reported form of a diagram (labels, rows)."""
+    labels, rows = diagram
+    edges = tuple([e for i, row in enumerate(rows) for e in row[i + 1 :]])
+    return GroupoidObject(order, labels, edges)
 
 
 def canonical_object(braiding: DiagonalBraiding) -> GroupoidObject:
-    diag, flat = _pack_state(braiding._diag(), braiding._edge_matrix())
-    return GroupoidObject(braiding.order, diag, flat)
-
-
-def _mrow(braiding: DiagonalBraiding, i: int) -> list[int]:
-    return backend.cartan_mrow(
-        braiding._diag(), braiding._edge_matrix(), braiding.order, i - 1
-    )
+    return _object(braiding.order, braiding.diagram())
 
 
 def cartan_matrix(braiding: DiagonalBraiding) -> tuple[tuple[int | None, ...], ...]:
     """Rows of the Cartan matrix: a_ii = 2, a_ij = -m_ij, and None where
     a_ij is undefined (q_ii = 1 with q_ij q_ji != 1)."""
+    labels, rows = braiding.diagram()
     return tuple(
         tuple(
             2 if j == i else None if m == backend.UNDEFINED else -m
-            for j, m in enumerate(_mrow(braiding, i + 1))
+            for j, m in enumerate(backend.cartan_mrow(labels, rows, braiding.order, i))
         )
         for i in range(braiding.rank)
     )
@@ -178,25 +171,21 @@ def cartan_matrix(braiding: DiagonalBraiding) -> tuple[tuple[int | None, ...], .
 
 def is_cartan_type(braiding: DiagonalBraiding) -> bool:
     """Cartan type: q_ii != 1 everywhere, and for each off-diagonal entry
-    q_ii^(-a_ij) q_ij q_ji = 1 with 0 <= -a_ij < ord(q_ii)."""
+    q_ii^(-a_ij) q_ij q_ji = 1 with 0 <= -a_ij < ord(q_ii).
+
+    Where q_ii != 1, ``cartan_mrow`` returns each m_ij = -a_ij as a residue
+    mod ord(q_ii): never undefined and always below the order.  So two tests
+    remain: q_ii != 1, and m_ij d_i + e_ij = 0 mod n, which fails exactly
+    where no m solves the equation.
+    """
     n = braiding.order
-    diag = braiding._diag()
-    edge = braiding._edge_matrix()
-    r = braiding.rank
-    for i in range(r):
-        d = diag[i]
-        if d % n == 0:
+    labels, rows = braiding.diagram()
+    for i, d in enumerate(labels):
+        if d == 0:
             return False
-        ord_i = n // gcd(n, d)
-        m = backend.cartan_mrow(diag, edge, n, i)
-        for j in range(r):
-            if j == i:
-                continue
-            if m[j] == backend.UNDEFINED:
-                return False
-            if not 0 <= m[j] < ord_i:
-                return False
-            if (m[j] * d + edge[i][j]) % n:
+        m = backend.cartan_mrow(labels, rows, n, i)
+        for j, e in enumerate(rows[i]):
+            if j != i and (m[j] * d + e) % n:
                 return False
     return True
 
@@ -217,13 +206,14 @@ def reflect(braiding: DiagonalBraiding, i: int):
     Returns the reflected DiagonalBraiding, or a ReflectionFailure naming
     the undefined Cartan entry (the groupoid-nonexistence signal).
     """
-    m = _mrow(braiding, i)
+    labels, rows = braiding.diagram()
+    m = backend.cartan_mrow(labels, rows, braiding.order, i - 1)
     if backend.UNDEFINED in m:
         j = m.index(backend.UNDEFINED)
         return ReflectionFailure(
             vertex=i,
             blocking=j + 1,
-            edge_label=RootOfUnity(braiding.order, braiding._edge_matrix()[i - 1][j]),
+            edge_label=RootOfUnity(braiding.order, rows[i - 1][j]),
         )
     new = backend.reflect_exponent_matrix(
         [list(r) for r in braiding.exponents], braiding.order, i - 1, m
@@ -243,15 +233,6 @@ def replay_witness(braiding: DiagonalBraiding, word) -> DiagonalBraiding:
             )
         current = nxt
     return current
-
-
-def _state_failure_vertex(diag, edge, n) -> int | None:
-    """Lowest vertex with label 1 and an incident edge, or None."""
-    r = len(diag)
-    for i in range(r):
-        if diag[i] % n == 0 and any(edge[i][j] % n for j in range(r) if j != i):
-            return i + 1
-    return None
 
 
 @dataclass(frozen=True)
@@ -274,35 +255,26 @@ class ExplorationResult:
     mrows: tuple[tuple[tuple[int, ...], ...], ...] = ()
 
 
-def _unpack_state(state: tuple, r: int) -> tuple[list[int], list[list[int]]]:
-    """Inverse of _pack_state: (diag, symmetric edge matrix)."""
-    diag = list(state[0])
-    edge = [[0] * r for _ in range(r)]
-    pos = 0
-    for i in range(r):
-        for j in range(i + 1, r):
-            edge[i][j] = edge[j][i] = state[1][pos]
-            pos += 1
-    return diag, edge
-
-
 def explore_groupoid(
     braiding: DiagonalBraiding, max_objects: int = 100_000
 ) -> ExplorationResult:
-    """BFS over canonical generalized Dynkin diagrams under reflection.
+    """BFS over generalized Dynkin diagrams under reflection, keyed by the
+    diagrams themselves (``DiagonalBraiding.diagram()``).
 
     Status EXISTS when the closure is finite with every reflection defined;
     FAILS_AT with a minimal-length witness word (BFS order, lowest vertex
     first) reaching an object carrying label 1 at a non-isolated vertex;
     BOUND_EXCEEDED_STATUS when more than max_objects distinct objects show
     up.  An isolated vertex labelled 1 is benign: the reflection there is
-    the identity.
+    the identity.  The morphism count is the number of reflections that move
+    an object, over every object found that has no failing vertex, expanded
+    or not.
     """
     if max_objects < 1:
         raise DomainError("max_objects must be at least 1")
     n = braiding.order
     r = braiding.rank
-    start = _pack_state(braiding._diag(), braiding._edge_matrix())
+    start = braiding.diagram()
 
     # objects in discovery order; the BFS queue is this list's unexpanded tail
     order_seen: list[tuple] = [start]
@@ -310,58 +282,45 @@ def explore_groupoid(
     parent_of: list[tuple[int, int] | None] = [None]  # (object index, vertex)
     transitions: list[tuple[int, ...]] = []
     mrows: list[tuple[tuple[int, ...], ...]] = []
+    status, witness, failing = EXISTS, None, None
+    morphisms = 0
 
-    def word_to(s: int) -> tuple[int, ...]:
-        word = []
-        while parent_of[s] is not None:
-            s, v = parent_of[s]
-            word.append(v)
-        return tuple(reversed(word))
-
-    def make_result(status, witness=None, failing=None):
-        objects = tuple(GroupoidObject(n, st[0], st[1]) for st in order_seen)
-        morphisms = sum(
-            target != s for s, row in enumerate(transitions) for target in row
-        )
-        # objects discovered but never expanded (the run stopped early)
-        for st in order_seen[len(transitions):]:
-            diag, edge = _unpack_state(st, r)
-            if _state_failure_vertex(diag, edge, n) is not None:
-                continue
-            for i in range(r):
-                m = backend.cartan_mrow(diag, edge, n, i)
-                nd, ne = backend.reflect_diagram(diag, edge, n, i, m)
-                if _pack_state(nd, ne) != st:
-                    morphisms += 1
-        return ExplorationResult(
-            status, objects, morphisms, witness, failing,
-            tuple(transitions), tuple(mrows),
-        )
-
-    while len(transitions) < len(order_seen):
-        s = len(transitions)
-        diag, edge = _unpack_state(order_seen[s], r)
-        bad = _state_failure_vertex(diag, edge, n)
+    # once the run stops, the same loop goes on over the objects found but
+    # never expanded, and only counts the morphisms out of them
+    for s, state in enumerate(order_seen):
+        labels, rows = state
+        bad = backend.failure_vertex(labels, rows, n)
         if bad is not None:
-            return make_result(FAILS_AT, word_to(s), bad)
-        row = []
-        mrow = []
+            if status == EXISTS:
+                status, failing, witness, t = FAILS_AT, bad + 1, (), s
+                while parent_of[t] is not None:  # back along the BFS tree
+                    t, v = parent_of[t]
+                    witness = (v, *witness)
+            continue
+        row, mrow = [], []
         for i in range(r):
-            m = backend.cartan_mrow(diag, edge, n, i)
-            nd, ne = backend.reflect_diagram(diag, edge, n, i, m)
-            new_state = _pack_state(nd, ne)
+            m = backend.cartan_mrow(labels, rows, n, i)
+            new_state = backend.reflect_diagram(labels, rows, n, i, m)
+            morphisms += new_state != state
+            if status != EXISTS:
+                continue
             target = index.get(new_state)
             if target is None:
                 if len(order_seen) >= max_objects:
-                    return make_result(BOUND_EXCEEDED_STATUS)
+                    status = BOUND_EXCEEDED_STATUS
+                    continue
                 target = index[new_state] = len(order_seen)
                 order_seen.append(new_state)
                 parent_of.append((s, i + 1))
             row.append(target)
             mrow.append(tuple(m))
-        transitions.append(tuple(row))
-        mrows.append(tuple(mrow))
-    return make_result(EXISTS)
+        if status == EXISTS:
+            transitions.append(tuple(row))
+            mrows.append(tuple(mrow))
+    objects = tuple([_object(n, state) for state in order_seen])
+    return ExplorationResult(
+        status, objects, morphisms, witness, failing, tuple(transitions), tuple(mrows)
+    )
 
 
 def _root_closure(exploration: ExplorationResult, max_roots: int):

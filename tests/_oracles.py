@@ -8,7 +8,10 @@
   on exponents mod n, used to cross-check the subsystem survey.
 * The first failing prefix of the sweep's heuristic words s_j s_i s_p on
   the full cyclic braiding, found by reflecting whole diagrams, used to
-  cross-check the sweep heuristic.
+  cross-check the sweep heuristic; its failure test ``_failing_vertex`` also
+  checks the package's ``failure_vertex`` kernel and the sweep's witnesses.
+* Cartan type by its definition, with each Cartan entry found by search,
+  used to cross-check ``diagonal.is_cartan_type``.
 * The Z[zeta] product as a convolution reduced mod the cyclotomic
   polynomial, ``_cyc_mul``, the package's product before it went through
   the matrix of a fixed factor.  The tests compare ``_kernels_py._cyc_mul``,
@@ -369,6 +372,29 @@ def _failing_vertex(n: int, obj) -> int | None:
         if d[v] % n == 0 and any(x % n for x in e[v]):
             return v + 1
     return None
+
+
+def diagram_of(n: int, b):
+    """The object (d, e) of the braiding q_vw = zeta_n^(b[v][w])."""
+    r = len(b)
+    d = [b[v][v] % n for v in range(r)]
+    e = [[0 if v == w else (b[v][w] + b[w][v]) % n for w in range(r)] for v in range(r)]
+    return d, e
+
+
+def is_cartan_type(n: int, b) -> bool:
+    """Whether the braiding q_vw = zeta_n^(b[v][w]) is of Cartan type, by the
+    definition: q_ii != 1 at every vertex i and, for each j != i, some m in
+    0 .. ord(q_ii) - 1 solves q_ii^m q_ij q_ji = 1."""
+    d, e = diagram_of(n, b)
+    for i, di in enumerate(d):
+        if di == 0:
+            return False
+        order = n // gcd(n, di)
+        for j in range(len(d)):
+            if j != i and not any((m * di + e[i][j]) % n == 0 for m in range(order)):
+                return False
+    return True
 
 
 def heuristic_witness(n: int, cap: int):

@@ -2,7 +2,7 @@ import json
 import re
 
 import pytest
-from _oracles import heuristic_witness
+from _oracles import _failing_vertex, diagram_of, heuristic_witness
 
 from fknichols import backend, cli
 from fknichols import cyclic_fk as cf
@@ -192,7 +192,7 @@ def test_check_single_below_two_raises(n):
 def test_start_diagram_is_the_full_cyclic_braiding():
     for n in range(2, 61):
         braiding = dg.full_cyclic_braiding(n)
-        assert cf._start_diagram(n) == (braiding._diag(), braiding._edge_matrix()), n
+        assert cf._start_diagram(n) == braiding.diagram(), n
 
 
 def test_counterexample_families():
@@ -218,17 +218,13 @@ def test_minimal_failure_multiples_fail(sweep200):
 
 
 def test_every_sweep_witness_replays(sweep200):
-    from fknichols import diagonal as dgm
-
     for n, entry in sweep200.entries.items():
         if entry.status != cf.FAILS_AT:
             continue
         braiding = entry.witness_braiding()
         reached = dg.replay_witness(braiding, entry.witness)
         # the reached object carries label 1 at the recorded connected vertex
-        bad = dgm._state_failure_vertex(
-            reached._diag(), reached._edge_matrix(), reached.order
-        )
+        bad = _failing_vertex(reached.order, diagram_of(reached.order, reached.exponents))
         assert bad == entry.failing_vertex, n
         assert isinstance(
             dg.reflect(reached, entry.failing_vertex), dg.ReflectionFailure

@@ -1,8 +1,16 @@
 import functools
 import json
+from itertools import combinations
 
 import pytest
-from _oracles import _cartan_m, _reflect_rank2, rank2_root_system, reflect_full
+from _oracles import (
+    _cartan_m,
+    _failing_vertex,
+    _reflect_rank2,
+    is_cartan_type,
+    rank2_root_system,
+    reflect_full,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -252,6 +260,24 @@ def test_reflect_preserves_components(rng):
         done += 1
 
 
+def test_is_cartan_type_matches_its_definition(rng):
+    """Every subset of 1..n-1 of rank <= 3 for n <= 12, and random
+    braidings, against the definition with each Cartan entry found by
+    search."""
+    seen = set()
+    for n in range(2, 13):
+        for rank in range(1, 4):
+            for subset in combinations(range(1, n), rank):
+                b = dg.cyclic_braiding(n, subset)
+                expected = is_cartan_type(n, b.exponents)
+                assert dg.is_cartan_type(b) == expected, (n, subset)
+                seen.add(expected)
+    assert seen == {True, False}
+    for _ in range(300):
+        b = _random_braiding(rng)
+        assert dg.is_cartan_type(b) == is_cartan_type(b.order, b.exponents), b
+
+
 def test_cartan_zero_symmetry(rng):
     for _ in range(100):
         b = _random_braiding(rng)
@@ -264,10 +290,11 @@ def test_cartan_zero_symmetry(rng):
 
 def test_row_kernels_read_the_reflected_diagram(rng):
     """The m-rows agree entry by entry with the Cartan entry oracle, and the
-    labels, rows, exposed vertex and scan with an independent reflection of
-    the whole diagram, on diagrams with failing vertices too.  n up to 60
-    makes labels that share a factor with n common, so both the entries
-    without a solution and those solved through the inverse occur."""
+    labels, rows, failure test, exposed vertex and scan with an independent
+    reflection of the whole diagram and the oracle's failure test, on
+    diagrams with failing vertices too.  n up to 60 makes labels that share
+    a factor with n common, so both the entries without a solution and
+    those solved through the inverse occur."""
     for _ in range(300):
         n, r = rng.randrange(2, 61), rng.randrange(1, 7)
         diag = [rng.randrange(n) for _ in range(r)]
@@ -289,9 +316,10 @@ def test_row_kernels_read_the_reflected_diagram(rng):
             labels, rows = reflected
             assert kernels.reflected_labels(diag, edge, n, j, m) == labels
             assert [kernels.reflected_row(diag, edge, n, j, m, v) for v in range(r)] == rows
-            bad = dg._state_failure_vertex(labels, rows, n)
+            bad = _failing_vertex(n, reflected)
             exposed = kernels.exposed_vertex(diag, edge, n, j, m)
             assert exposed == (None if bad is None else bad - 1)
+            assert kernels.failure_vertex(labels, rows, n) == exposed
             if first_hit is None and bad is not None and diag[j]:
                 first_hit = (j, bad - 1)
         assert kernels.scan_bad_reflection(diag, edge, n) == first_hit

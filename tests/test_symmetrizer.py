@@ -15,6 +15,7 @@ from fknichols._linalg import ExactEchelon
 from fknichols.cyclotomic import (
     BadModularSpecError,
     CyclotomicNumber,
+    ModularSpec,
     find_modular_spec,
     integer_zeta_power,
 )
@@ -744,6 +745,19 @@ def test_modular_dimensions_bound_the_exact_ones(yd_cache, source, max_degree):
     if source == dg.DiagonalBraiding(2, ((0,),)):
         assert exact.nichols.per_degree == (1, 1, 1, 1, 1, 1)
         assert modular.nichols.per_degree == (1, 1, 1, 0, 0, 0)
+
+
+def test_modular_mode_runs_at_scalar_order_one():
+    """q_11 = 1 as DiagonalBraiding(1, ((0,),)): the scalars lie in Z, so
+    the modular image of zeta_1 is 1.  Over a large prime the series is the
+    exact one; over the default q = 3, S_3 = 3! = 0 mod 3 gives the lower
+    bound 0 at degree 3."""
+    space = sm.space_from_diagonal(dg.DiagonalBraiding(1, ((0,),)))
+    assert find_modular_spec(1) == ModularSpec(3, 1, 1)
+    exact = sm.nichols_hilbert(space, 3).per_degree
+    assert exact == (1, 1, 1, 1)
+    assert sm.nichols_hilbert(space, 3, "modular", _large_prime_spec(1)).per_degree == exact
+    assert sm.nichols_hilbert(space, 3, "modular").per_degree == (1, 1, 1, 0)
 
 
 def test_modular_mode_matches_exact(b2_space):

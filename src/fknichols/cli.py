@@ -402,8 +402,10 @@ def build_parser() -> _Parser:
         default=10_000,
         help="bound on the root closure.  At rank 2, when the groupoid "
         "exists, an infinite root system is proven infinite by one loop, "
-        "whatever the bound; at rank >= 3 'Infinite' means only that this "
-        "bound was exceeded.  A bound below the true root count gives "
+        "whatever the bound; at rank 3 'Infinite' reached by more than 2*37 "
+        "roots at one object is a proof (a finite rank-3 system has at "
+        "most 37 positive roots); at rank >= 4 'Infinite' still means only that "
+        "this bound was exceeded.  A bound below the true root count gives "
         "'Infinite' for a finite system at any rank",
     )
     pd.set_defaults(handler=_cmd_pbw_dim)

@@ -588,7 +588,8 @@ def enumerate_finite_subsystems(
     groupoid objects of the other).  Rank-1 subsets are omitted: every
     vertex trivially gives one.  A class is finite when the groupoid of its
     smallest member exists and its root closure stays within
-    ``SURVEY_MAX_ROOTS``.
+    ``SURVEY_MAX_ROOTS`` (and, at rank 3, within the 2 * 37 roots per object
+    that no finite system exceeds, ``diagonal._root_closure``).
 
     The survey classifies classes rather than subsets, using five facts:
 
@@ -614,9 +615,13 @@ def enumerate_finite_subsystems(
        on that member only, reusing its exploration.  Without
        ``include_infinite`` no other member of an infinite class is
        explored.
-    5. A subset of rank >= 3 that contains an infinite connected pair never
-       joins a finite class.  Such subsets are built only under
-       ``include_infinite``, and never explored.
+    5. A subset with an infinite sub-braiding never joins a finite class:
+       a sub-braiding of a finite one is finite.  Without
+       ``include_infinite``, a rank-3 subset is built only when each of its
+       connected pairs lies in a finite class, and a subset of rank >= 4
+       only when each of its triples does; every triple is connected by
+       fact 1.  Under ``include_infinite`` every subset is built, and one
+       with an infinite connected pair is never explored.
     """
     if n < 2:
         raise diagonal.DomainError("n must be at least 2")
@@ -656,17 +661,21 @@ def enumerate_finite_subsystems(
     # under include_infinite, of each skipped subset
     info: dict[tuple[int, ...], tuple[bool, frozenset | None]] = {}
     settled: set[tuple[int, ...]] = set()  # subsets that need no exploration
-    finite_pairs: set[tuple[int, int]] = set()
+    finite: set[tuple[int, ...]] = set()  # the lower-rank subsets of finite classes
 
     def class_finite(subset) -> bool:
         return info.get(find(subset), (False, None))[0]
 
     def pair_ok(a: int, b: int) -> bool:
-        return (a + b) % n == 0 or (a, b) in finite_pairs
+        return (a + b) % n == 0 or (a, b) in finite
 
     build = (lambda a, b: True) if include_infinite else pair_ok
     for rank in range(2, max_rank + 1):
         for subset in _candidate_subsets(n, rank, build):
+            if rank > 3 and not (
+                include_infinite or finite.issuperset(combinations(subset, 3))
+            ):
+                continue
             galois = group(subset)
             if subset in settled:
                 continue
@@ -690,8 +699,8 @@ def enumerate_finite_subsystems(
                 settled |= galois
                 for other in linked:
                     settled |= orbits[other]
-        if rank == 2:
-            finite_pairs = {pair for pair in parent if class_finite(pair)}
+        if rank < max_rank:
+            finite |= {s for s in parent if len(s) == rank and class_finite(s)}
 
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for subset in parent:

@@ -19,6 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from math import prod
+from operator import mul
 
 from fknichols import backend
 from fknichols.cyclotomic import RootOfUnity
@@ -26,6 +27,8 @@ from fknichols.cyclotomic import RootOfUnity
 EXISTS = "exists"
 FAILS_AT = "failsAt"
 BOUND_EXCEEDED_STATUS = "boundExceeded"
+#: Most positive roots of a finite Weyl groupoid of rank 3 (``_root_closure``)
+RANK3_MAX_POSITIVE_ROOTS = 37
 
 
 class DomainError(ValueError):
@@ -330,6 +333,16 @@ def _root_closure(exploration: ExplorationResult, max_roots: int):
     at the start object, True), or (None, False) when the exploration or the
     root count exceeds its bound.  Raises RootSystemUndefinedError if the
     exploration failed.
+
+    At rank 3 it also returns (None, False) once one object holds more than
+    2 * 37 roots, which proves the root system infinite.  The theorem: a
+    finite Weyl groupoid of rank three has at most 37 positive roots
+    (Cuntz-Heckenberger, *Finite Weyl groupoids of rank three*, Trans. Amer.
+    Math. Soc. 364 (2012)).  The argument: the roots that the closure puts
+    at an object are real roots there, and in a finite system the real
+    roots at each object are Delta_+ and -Delta_+, so no object of a finite
+    system ever holds more than 74.  The total max_roots test stays, at
+    every rank.
     """
     if exploration.status == FAILS_AT:
         raise RootSystemUndefinedError(
@@ -340,8 +353,12 @@ def _root_closure(exploration: ExplorationResult, max_roots: int):
         return None, False
     objects = exploration.objects
     r = objects[0].rank
-    mrows = exploration.mrows
-    moves = exploration.transitions
+    per_object = 2 * RANK3_MAX_POSITIVE_ROOTS if r == 3 else max_roots
+    # (vertex, m-row, target) of every reflection out of each object
+    steps = [
+        tuple(zip(range(r), m, move))
+        for m, move in zip(exploration.mrows, exploration.transitions)
+    ]
 
     simples = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
     roots: list[set[tuple[int, ...]]] = [set(simples) for _ in objects]
@@ -349,15 +366,13 @@ def _root_closure(exploration: ExplorationResult, max_roots: int):
     total = len(objects) * r
     while work:
         s, alpha = work.popleft()
-        for i in range(r):
-            m = mrows[s][i]
-            target = moves[s][i]
-            new_i = alpha[i] + sum(m[j] * alpha[j] for j in range(r))
-            image = alpha[:i] + (new_i,) + alpha[i + 1 :]
-            if image not in roots[target]:
-                roots[target].add(image)
+        for i, m, target in steps[s]:
+            image = alpha[:i] + (alpha[i] + sum(map(mul, m, alpha)),) + alpha[i + 1 :]
+            known = roots[target]
+            if image not in known:
+                known.add(image)
                 total += 1
-                if total > max_roots:
+                if total > max_roots or len(known) > per_object:
                     return None, False
                 work.append((target, image))
     return roots[0], True
@@ -440,7 +455,10 @@ def positive_roots(exploration: ExplorationResult, max_roots: int = 10_000):
     infinite by one loop (``rank2_is_infinite``) and BOUND_EXCEEDED is
     returned without a closure; a finite one is still closed, and still
     gives BOUND_EXCEEDED when it has more than max_roots roots.  At rank
-    >= 3, BOUND_EXCEEDED means only that the closure exceeded max_roots.
+    3 the closure also stops once one object holds more than 2 * 37 roots,
+    more than any finite system of rank 3 has (``_root_closure``); that
+    BOUND_EXCEEDED is a proof of infinity.  Otherwise, and at every rank
+    >= 4, BOUND_EXCEEDED means only that the closure exceeded max_roots.
 
     Raises RootSystemUndefinedError when the groupoid fails to exist, and
     DomainError when max_roots < 1.
@@ -501,8 +519,11 @@ def pbw_dimension(braiding: DiagonalBraiding, max_roots: int = 10_000):
 
     At rank 2, when the groupoid exists, an infinite root system is proven
     infinite by one loop (``positive_roots``), whatever the bounds.  At rank
-    >= 3, INFINITE means only that a bound was exceeded.  At any rank, a
-    bound below the true root count gives INFINITE for a finite system.
+    3, INFINITE reached by more than 2 * 37 roots at one object is a proof
+    too: a finite rank-3 system has at most 37 positive roots
+    (``_root_closure``).  Otherwise, and at rank >= 4, INFINITE
+    means only that a bound was exceeded.  At any rank, a bound below the
+    true root count gives INFINITE for a finite system.
 
     Raises UndefinedDimensionError if a positive root has label 1, and
     RootSystemUndefinedError when the groupoid does not exist.

@@ -6,6 +6,9 @@
   the tests compare against conjugate_reflection / lambda_scalar.
 * A rank-2 root-chain oracle for the cyclic braidings, in integer arithmetic
   on exponents mod n, used to cross-check the subsystem survey.
+* A plain root closure of an explored groupoid, with no bound per object
+  and its own reflection formula, used to test the rank-3 root-count bound
+  of ``diagonal._root_closure``.
 * The first failing prefix of the sweep's heuristic words s_j s_i s_p on
   the full cyclic braiding, found by reflecting whole diagrams, used to
   cross-check the sweep heuristic; its failure test ``_failing_vertex`` also
@@ -318,6 +321,51 @@ def rank2_root_system(n: int, a: int, b: int, max_roots: int = 64):
     for b1, b2 in roots:
         dimension *= n // gcd(n, (a * b1 + b * b2) * (b1 + b2))
     return tuple(roots), dimension
+
+
+# ---------------------------------------------------------------------------
+# Root closure of an explored groupoid.  Only the exploration's transition
+# table and m-rows are read; the reflection formula is written out here.
+
+
+def root_closure(exploration, max_roots: int):
+    """Roots at the start object of an existing groupoid, or None once more
+    than max_roots roots are found over all objects.
+
+    The Cartan matrix at an object has a_ii = 2 and a_ij = -m_ij for j != i,
+    with m_ij read from the m-row at vertex i.  The reflection at vertex i
+    sends alpha at that object to alpha - (sum_j a_ij alpha_j) e_i at the
+    object across vertex i.  Every object starts with its simple roots, and
+    reflections are applied until no object gains a root.
+    """
+    moves = exploration.transitions
+    r = len(moves[0])
+    cartans = [
+        [[2 if j == i else -m[j] for j in range(r)] for i, m in enumerate(rows)]
+        for rows in exploration.mrows
+    ]
+    found = [set() for _ in moves]
+    stack = []
+    for s in range(len(moves)):
+        for i in range(r):
+            simple = tuple(int(k == i) for k in range(r))
+            found[s].add(simple)
+            stack.append((s, simple))
+    count = len(stack)
+    while stack:
+        s, alpha = stack.pop()
+        for i in range(r):
+            image = list(alpha)
+            image[i] -= sum(a * x for a, x in zip(cartans[s][i], alpha))
+            image = tuple(image)
+            target = moves[s][i]
+            if image not in found[target]:
+                count += 1
+                if count > max_roots:
+                    return None
+                found[target].add(image)
+                stack.append((target, image))
+    return found[0]
 
 
 # ---------------------------------------------------------------------------

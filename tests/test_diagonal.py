@@ -10,11 +10,13 @@ from _oracles import (
     is_cartan_type,
     rank2_root_system,
     reflect_full,
+    root_closure,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fknichols import _kernels_py as kernels
+from fknichols import cyclic_fk
 from fknichols import diagonal as dg
 from fknichols.cyclotomic import RootOfUnity
 
@@ -370,6 +372,51 @@ def test_positive_roots_full_c5_exceeds_bounds():
         dg.enumerate_positive_roots(dg.full_cyclic_braiding(5), max_roots=2000)
         is dg.BOUND_EXCEEDED
     )
+
+
+def _survey_rank3_closures(max_n):
+    """The rank-3 explorations whose roots the survey closes, n <= max_n."""
+    closed = []
+    positive_roots = dg.positive_roots
+
+    def record(exploration, max_roots):
+        if exploration.objects[0].rank == 3:
+            closed.append(exploration)
+        return positive_roots(exploration, max_roots)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dg, "positive_roots", record)
+        for n in range(2, max_n + 1):
+            cyclic_fk.enumerate_finite_subsystems(n, 3)
+    return closed
+
+
+def test_rank3_root_count_bound_agrees_with_the_plain_closure():
+    """At rank 3 the closure stops once one object holds more than 2 * 37
+    roots.  It must call a subset finite exactly when the plain closure of
+    the oracle closes within the same total, and no finite one may have
+    more than 37 positive roots.  The subsets: every rank-3 subset of C_n
+    with an existing groupoid for n <= 12, and every rank-3 subset that the
+    survey closes for n <= 30."""
+    explorations = (
+        dg.explore_groupoid(dg.cyclic_braiding(n, subset))
+        for n in range(4, 13)
+        for subset in combinations(range(1, n), 3)
+    )
+    existing = [e for e in explorations if e.status == dg.EXISTS]
+    assert len(existing) == 331
+    surveyed = _survey_rank3_closures(30)
+    assert surveyed
+    finite = 0
+    for exploration in existing + surveyed:
+        bounded = dg.positive_roots(exploration, 2000)
+        plain = root_closure(exploration, 2000)
+        assert (bounded is dg.BOUND_EXCEEDED) == (plain is None)
+        if plain is not None:
+            finite += 1
+            assert bounded == {alpha for alpha in plain if min(alpha) >= 0}
+            assert len(bounded) <= dg.RANK3_MAX_POSITIVE_ROOTS
+    assert finite
 
 
 @functools.lru_cache(maxsize=None)

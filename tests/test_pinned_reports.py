@@ -14,6 +14,11 @@ for byte:
   stopped exploration never expanded, and diagrams without edges (n = 3,
   and the rank-one subset {2} of n = 5; these two digests were taken while
   a separate diagram type, built from the groupoid object, wrote the JSON);
+* ``subsystems n --max-rank 4`` for n = 5, 10, 20 and 30, with and without
+  ``--include-infinite``, and ``pbw dim --cyclic 5`` on the triple
+  (1, 2, 3) and on the full braiding; these were taken while every rank-3
+  root closure still ran to its total bound and the survey still built,
+  explored and closed the rank-4 subsets all of whose triples are infinite;
 * ``groupoid sweep --max 200``, whose composites are settled by a divisor,
   the heuristic words or the whole three-reflection word family;
 * ``groupoid sweep --max 100 --verify``, which sends every composite up to
@@ -113,6 +118,19 @@ SURVEY_DIGESTS = {
     30: "11a7a65683c59e03d3bd33fa7c36990236b6f7cc8ec37b01d34a0e8e7bbe5648",
 }
 
+INFINITE_VERDICT_DIGESTS = {
+    "subsystems 5 --max-rank 4": "766c156873b4298254bcdae2d29cc69bdfc0465495cbc7157269f568a3d08745",
+    "subsystems 5 --max-rank 4 --include-infinite": "be81903483eafdb745d40ded9b390c2aa03fef1fc2123d4eb1b1395e470b431f",
+    "subsystems 10 --max-rank 4": "da3c2e1438f5106d3ef19f4992c0a2ccfe7a1ce0f27fde9e2180e61da8d66c99",
+    "subsystems 10 --max-rank 4 --include-infinite": "1b2c6d4b9910318a78509b13c428b2f2090a2c2605d17be67f41347ff627fdb2",
+    "subsystems 20 --max-rank 4": "9a747b583b71b9407f496c853acb29acf0a9963af60b7fa32fb596bdf961f01d",
+    "subsystems 20 --max-rank 4 --include-infinite": "def06909bc3edc396f0a759e3cd45c0f315f21153c0f6a5f2f8f39e456866379",
+    "subsystems 30 --max-rank 4": "79d88f39ad0d0680088cad32e091cad9487c1110f4f3de09e8ec3d62fddd6f85",
+    "subsystems 30 --max-rank 4 --include-infinite": "5f59c56a48f44dcdab27fb857d52dc9429fb347d1b23a18ab721f5d3e4318f3c",
+    "pbw dim --cyclic 5 --subset 1,2,3": "4d26a912fd0840aa827b79f60b5564dddaedb0f2a046841cd8feaa1a05902fa1",
+    "pbw dim --cyclic 5": "929f412daca36a8677f5dca056736a1629682a303217f68b4d10fa9e8ea7c946",
+}
+
 SWEEP_DIGESTS = {
     "--max 200": "39147d3798f37810834e7ce22f1db2e870085e8b3cc34291a715d56bd982d4a8",
     "--max 100 --verify": "9f31e1e9255cdd5c882416c7748d5534f3601dd9316369443e2d2a1786ea703a",
@@ -193,6 +211,11 @@ def test_include_infinite_survey_reports_are_pinned():
     for n, digest in SURVEY_DIGESTS.items():
         argv = ["subsystems", str(n), "--max-rank", "3", "--include-infinite"]
         assert _digest(argv) == digest, n
+
+
+@pytest.mark.parametrize("args", sorted(INFINITE_VERDICT_DIGESTS))
+def test_infinite_verdict_reports_are_pinned(args):
+    assert _digest(args.split()) == INFINITE_VERDICT_DIGESTS[args]
 
 
 @pytest.mark.parametrize("args", sorted(SWEEP_DIGESTS))

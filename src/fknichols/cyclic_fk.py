@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, islice
 from math import gcd, prod
 
@@ -574,6 +575,116 @@ def _candidate_subsets(n, rank, pair_ok):
     yield from extend((), list(range(1, n)), rank)
 
 
+def _primitive_classes(d: int, max_rank: int, include_infinite: bool):
+    """The classes of the subsets S of 1..d-1 with gcd(d, S) = 1, as
+    (representative, members, finite, positive roots or None) tuples sorted
+    by representative; without include_infinite, the finite classes only.
+
+    This is the survey of ``enumerate_finite_subsystems`` restricted to one
+    gcd (its fact 6).  The subsets of larger gcd are the scaled classes of
+    the proper divisors of d: they seed the pruning set of fact 5, so its
+    pair and triple tests see every finite subset of C_d.
+    """
+    unit_list = units(d)
+    parent: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def find(s):
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    orbits: dict[tuple[int, ...], frozenset] = {}
+
+    def group(subset) -> frozenset:
+        """Unite the Galois orbit of subset, once; returns the orbit."""
+        galois = orbits.get(subset)
+        if galois is None:
+            galois = frozenset(
+                tuple(sorted(k * a % d for a in subset)) for k in unit_list
+            )
+            root = min(galois)
+            for image in galois:
+                orbits[image] = galois
+                parent[image] = root
+        return galois
+
+    # (finite, positive roots) of each class minimum reached so far and,
+    # under include_infinite, of each skipped subset
+    info: dict[tuple[int, ...], tuple[bool, frozenset | None]] = {}
+    settled: set[tuple[int, ...]] = set()  # subsets that need no exploration
+    # the lower-rank subsets of finite classes, of every gcd
+    finite: set[tuple[int, ...]] = {
+        tuple(d // e * a for a in member)
+        for e in divisors(d)[1:-1]
+        for _, members, _, _ in _finite_classes(e, max_rank)
+        for member in members
+        if len(member) < max_rank
+    }
+
+    def class_finite(subset) -> bool:
+        return info.get(find(subset), (False, None))[0]
+
+    def pair_ok(a: int, b: int) -> bool:
+        return (a + b) % d == 0 or (a, b) in finite
+
+    build = (lambda a, b: True) if include_infinite else pair_ok
+    for rank in range(2, max_rank + 1):
+        for subset in _candidate_subsets(d, rank, build):
+            if gcd(d, *subset) > 1:
+                continue  # a scaled class of a proper divisor of d
+            if rank > 3 and not (
+                include_infinite or finite.issuperset(combinations(subset, 3))
+            ):
+                continue
+            galois = group(subset)
+            if subset in settled:
+                continue
+            if rank > 2 and not all(
+                pair_ok(a, b) for a, b in combinations(subset, 2)
+            ):
+                info[subset] = (False, None)
+                continue
+            exploration = diagonal.explore_groupoid(
+                cyclic_braiding(d, subset), SURVEY_MAX_OBJECTS
+            )
+            linked = _linked_subsets(d, exploration.objects)
+            for other in linked:
+                group(other)
+                union(subset, other)
+            if exploration.status == EXISTS:
+                settled |= linked
+            if find(subset) == subset:
+                info[subset] = _classify_subset(exploration, SURVEY_MAX_ROOTS)
+            if not include_infinite and not class_finite(subset):
+                settled |= galois
+                for other in linked:
+                    settled |= orbits[other]
+        if rank < max_rank:
+            finite |= {s for s in parent if len(s) == rank and class_finite(s)}
+
+    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for subset in parent:
+        classes.setdefault(find(subset), []).append(subset)
+    out = []
+    for rep in sorted(classes):
+        is_finite, roots = info.get(rep, (False, None))
+        if is_finite or include_infinite:
+            out.append((rep, tuple(sorted(classes[rep])), is_finite, roots))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _finite_classes(d: int, max_rank: int):
+    """The finite primitive classes of C_d, kept for the life of the process."""
+    return _primitive_classes(d, max_rank, False)
+
+
 def enumerate_finite_subsystems(
     n: int,
     max_rank: int,
@@ -622,135 +733,70 @@ def enumerate_finite_subsystems(
        only when each of its triples does; every triple is connected by
        fact 1.  Under ``include_infinite`` every subset is built, and one
        with an infinite connected pair is never explored.
+    6. Classes never mix gcds, and each class of gcd g is g times a
+       primitive class of C_{n/g}.  A unit k mod n acts on gJ as the image
+       of k acts on J mod n/g, and the units mod n map onto the units mod
+       n/g; the groupoid objects of gJ are g times those of J, because
+       zeta_n^(g*a) = zeta_{n/g}^a.  So the survey of n is assembled from
+       the primitive classes (gcd(d, S) = 1) of each divisor d >= 2 of n,
+       scaled by n/d (``_primitive_classes``), and each braiding is
+       explored once per process however many multiples of its order are
+       surveyed: the finite primitive classes are cached by (d, max_rank).
+       Nothing of an ``include_infinite`` survey is kept across calls: its
+       classes hold every subset of 1..d-1 up to max_rank, and keeping
+       them grows the process's memory with no gain in time.
     """
     if n < 2:
         raise diagonal.DomainError("n must be at least 2")
     if max_rank < 1:
         raise diagonal.DomainError("max_rank must be at least 1")
 
-    unit_list = units(n)
-    parent: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def find(s):
-        while parent[s] != s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        return s
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    orbits: dict[tuple[int, ...], frozenset] = {}
-
-    def group(subset) -> frozenset:
-        """Unite the Galois orbit of subset, once; returns the orbit."""
-        galois = orbits.get(subset)
-        if galois is None:
-            galois = frozenset(
-                tuple(sorted(k * a % n for a in subset)) for k in unit_list
-            )
-            root = min(galois)
-            for image in galois:
-                orbits[image] = galois
-                parent[image] = root
-        return galois
-
-    # (finite, positive roots) of each class minimum reached so far and,
-    # under include_infinite, of each skipped subset
-    info: dict[tuple[int, ...], tuple[bool, frozenset | None]] = {}
-    settled: set[tuple[int, ...]] = set()  # subsets that need no exploration
-    finite: set[tuple[int, ...]] = set()  # the lower-rank subsets of finite classes
-
-    def class_finite(subset) -> bool:
-        return info.get(find(subset), (False, None))[0]
-
-    def pair_ok(a: int, b: int) -> bool:
-        return (a + b) % n == 0 or (a, b) in finite
-
-    build = (lambda a, b: True) if include_infinite else pair_ok
-    for rank in range(2, max_rank + 1):
-        for subset in _candidate_subsets(n, rank, build):
-            if rank > 3 and not (
-                include_infinite or finite.issuperset(combinations(subset, 3))
-            ):
-                continue
-            galois = group(subset)
-            if subset in settled:
-                continue
-            if rank > 2 and not all(
-                pair_ok(a, b) for a, b in combinations(subset, 2)
-            ):
-                info[subset] = (False, None)
-                continue
-            exploration = diagonal.explore_groupoid(
-                cyclic_braiding(n, subset), SURVEY_MAX_OBJECTS
-            )
-            linked = _linked_subsets(n, exploration.objects)
-            for other in linked:
-                group(other)
-                union(subset, other)
-            if exploration.status == EXISTS:
-                settled |= linked
-            if find(subset) == subset:
-                info[subset] = _classify_subset(exploration, SURVEY_MAX_ROOTS)
-            if not include_infinite and not class_finite(subset):
-                settled |= galois
-                for other in linked:
-                    settled |= orbits[other]
-        if rank < max_rank:
-            finite |= {s for s in parent if len(s) == rank and class_finite(s)}
-
-    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for subset in parent:
-        classes.setdefault(find(subset), []).append(subset)
-
     records = []
-    for rep in sorted(classes):
-        members = tuple(sorted(classes[rep]))
-        finite, roots = info.get(rep, (False, None))
-        if not finite and not include_infinite:
-            continue
-        braiding = cyclic_braiding(n, rep)
-        dimension = None
-        root_count = None
-        if finite:
-            root_count = len(roots)
-            orders = diagonal.root_orders(braiding, roots)
-            dimension = prod(order for _, order in orders)
-        g = gcd(n, *rep)
-        first_appears = n // g
-        notes: list[str] = []
-        ref_key = (first_appears, tuple(a // g for a in rep))
-        if finite and ref_key in REFERENCE_DIMENSIONS:
-            factorization, ref_value = REFERENCE_DIMENSIONS[ref_key]
-            if factorization is not None:
-                implied = _eval_factorization(factorization)
-                if implied != ref_value:
+    for d in divisors(n)[1:]:
+        g = n // d
+        if include_infinite:
+            primitive = _primitive_classes(d, max_rank, True)
+        else:
+            primitive = _finite_classes(d, max_rank)
+        for base, members, finite, roots in primitive:
+            rep = tuple(g * a for a in base)
+            braiding = cyclic_braiding(n, rep)
+            dimension = None
+            root_count = None
+            if finite:
+                root_count = len(roots)
+                orders = diagonal.root_orders(braiding, roots)
+                dimension = prod(order for _, order in orders)
+            notes: list[str] = []
+            if finite and (d, base) in REFERENCE_DIMENSIONS:
+                factorization, ref_value = REFERENCE_DIMENSIONS[(d, base)]
+                if factorization is not None:
+                    implied = _eval_factorization(factorization)
+                    if implied != ref_value:
+                        notes.append(
+                            f"reference factorization {factorization} evaluates to "
+                            f"{implied}, inconsistent with the tabulated value {ref_value}"
+                        )
+                if dimension != ref_value:
                     notes.append(
-                        f"reference factorization {factorization} evaluates to "
-                        f"{implied}, inconsistent with the tabulated value {ref_value}"
+                        f"computed dimension {dimension} differs from the tabulated "
+                        f"value {ref_value}"
                     )
-            if dimension != ref_value:
-                notes.append(
-                    f"computed dimension {dimension} differs from the tabulated "
-                    f"value {ref_value}"
+            records.append(
+                SubsystemRecord(
+                    n=n,
+                    representative=rep,
+                    members=tuple(tuple(g * a for a in m) for m in members),
+                    diagram=diagonal.canonical_object(braiding),
+                    cartan_type=diagonal.is_cartan_type(braiding),
+                    finite=finite,
+                    positive_root_count=root_count,
+                    dimension=dimension,
+                    first_appears=d,
+                    notes=tuple(notes),
                 )
-        records.append(
-            SubsystemRecord(
-                n=n,
-                representative=rep,
-                members=members,
-                diagram=diagonal.canonical_object(braiding),
-                cartan_type=diagonal.is_cartan_type(braiding),
-                finite=finite,
-                positive_root_count=root_count,
-                dimension=dimension,
-                first_appears=first_appears,
-                notes=tuple(notes),
             )
-        )
+    records.sort(key=lambda r: r.representative)
     return records
 
 

@@ -9,6 +9,10 @@
 * A plain root closure of an explored groupoid, with no bound per object
   and its own reflection formula, used to test the rank-3 root-count bound
   of ``diagonal._root_closure``.
+* The subsystem survey of one n over all subsets of 1..n-1, as it ran
+  before it was assembled from the primitive classes of the divisors of n,
+  ``survey_per_n``; the tests compare ``enumerate_finite_subsystems`` with
+  it record by record.
 * The first failing prefix of the sweep's heuristic words s_j s_i s_p on
   the full cyclic braiding, found by reflecting whole diagrams, used to
   cross-check the sweep heuristic; its failure test ``_failing_vertex`` also
@@ -33,11 +37,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
-from math import gcd
+from itertools import combinations, islice
+from math import gcd, prod
 
+from fknichols import cyclic_fk as cf
+from fknichols import diagonal as dg
 from fknichols._kernels_py import _content
-from fknichols._numtheory import euler_phi
+from fknichols._numtheory import euler_phi, units
 from fknichols.cyclotomic import RootOfUnity, cyclotomic_polynomial
 from fknichols.reflection_groups import GroupParams, Reflection
 
@@ -366,6 +372,139 @@ def root_closure(exploration, max_roots: int):
                 found[target].add(image)
                 stack.append((target, image))
     return found[0]
+
+
+# ---------------------------------------------------------------------------
+# The subsystem survey of one n, as it ran before it was assembled from the
+# primitive classes of the divisors of n: every subset of 1..n-1, whatever
+# its gcd with n, is grouped, explored and closed at n itself.
+
+
+def survey_per_n(n: int, max_rank: int, include_infinite: bool = False):
+    """The records of ``enumerate_finite_subsystems(n, max_rank,
+    include_infinite)``, computed by one union-find over all subsets of
+    1..n-1 and nothing kept between calls."""
+    unit_list = units(n)
+    parent: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def find(s):
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    orbits: dict[tuple[int, ...], frozenset] = {}
+
+    def group(subset) -> frozenset:
+        galois = orbits.get(subset)
+        if galois is None:
+            galois = frozenset(
+                tuple(sorted(k * a % n for a in subset)) for k in unit_list
+            )
+            root = min(galois)
+            for image in galois:
+                orbits[image] = galois
+                parent[image] = root
+        return galois
+
+    info: dict[tuple[int, ...], tuple[bool, frozenset | None]] = {}
+    settled: set[tuple[int, ...]] = set()
+    finite: set[tuple[int, ...]] = set()
+
+    def class_finite(subset) -> bool:
+        return info.get(find(subset), (False, None))[0]
+
+    def pair_ok(a: int, b: int) -> bool:
+        return (a + b) % n == 0 or (a, b) in finite
+
+    build = (lambda a, b: True) if include_infinite else pair_ok
+    for rank in range(2, max_rank + 1):
+        for subset in cf._candidate_subsets(n, rank, build):
+            if rank > 3 and not (
+                include_infinite or finite.issuperset(combinations(subset, 3))
+            ):
+                continue
+            galois = group(subset)
+            if subset in settled:
+                continue
+            if rank > 2 and not all(
+                pair_ok(a, b) for a, b in combinations(subset, 2)
+            ):
+                info[subset] = (False, None)
+                continue
+            exploration = dg.explore_groupoid(
+                dg.cyclic_braiding(n, subset), cf.SURVEY_MAX_OBJECTS
+            )
+            linked = cf._linked_subsets(n, exploration.objects)
+            for other in linked:
+                group(other)
+                union(subset, other)
+            if exploration.status == dg.EXISTS:
+                settled |= linked
+            if find(subset) == subset:
+                info[subset] = cf._classify_subset(exploration, cf.SURVEY_MAX_ROOTS)
+            if not include_infinite and not class_finite(subset):
+                settled |= galois
+                for other in linked:
+                    settled |= orbits[other]
+        if rank < max_rank:
+            finite |= {s for s in parent if len(s) == rank and class_finite(s)}
+
+    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for subset in parent:
+        classes.setdefault(find(subset), []).append(subset)
+
+    records = []
+    for rep in sorted(classes):
+        members = tuple(sorted(classes[rep]))
+        is_finite, roots = info.get(rep, (False, None))
+        if not is_finite and not include_infinite:
+            continue
+        braiding = dg.cyclic_braiding(n, rep)
+        dimension = None
+        root_count = None
+        if is_finite:
+            root_count = len(roots)
+            orders = dg.root_orders(braiding, roots)
+            dimension = prod(order for _, order in orders)
+        g = gcd(n, *rep)
+        first_appears = n // g
+        notes: list[str] = []
+        ref_key = (first_appears, tuple(a // g for a in rep))
+        if is_finite and ref_key in cf.REFERENCE_DIMENSIONS:
+            factorization, ref_value = cf.REFERENCE_DIMENSIONS[ref_key]
+            if factorization is not None:
+                implied = cf._eval_factorization(factorization)
+                if implied != ref_value:
+                    notes.append(
+                        f"reference factorization {factorization} evaluates to "
+                        f"{implied}, inconsistent with the tabulated value {ref_value}"
+                    )
+            if dimension != ref_value:
+                notes.append(
+                    f"computed dimension {dimension} differs from the tabulated "
+                    f"value {ref_value}"
+                )
+        records.append(
+            cf.SubsystemRecord(
+                n=n,
+                representative=rep,
+                members=members,
+                diagram=dg.canonical_object(braiding),
+                cartan_type=dg.is_cartan_type(braiding),
+                finite=is_finite,
+                positive_root_count=root_count,
+                dimension=dimension,
+                first_appears=first_appears,
+                notes=tuple(notes),
+            )
+        )
+    return records
 
 
 # ---------------------------------------------------------------------------

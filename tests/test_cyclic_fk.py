@@ -2,7 +2,7 @@ import json
 import re
 
 import pytest
-from _oracles import _failing_vertex, diagram_of, heuristic_witness
+from _oracles import _failing_vertex, diagram_of, heuristic_witness, survey_per_n
 
 from fknichols import backend, cli
 from fknichols import cyclic_fk as cf
@@ -309,6 +309,48 @@ def test_subsystems_include_infinite():
     records6 = cf.enumerate_finite_subsystems(6, 2, include_infinite=True)
     infinite = [r for r in records6 if not r.finite]
     assert infinite and all(r.dimension is None for r in infinite)
+
+
+def test_survey_matches_the_per_n_survey():
+    # the primitive classes are kept across calls: start from an empty
+    # cache, and survey each multiple before its divisors
+    cf._finite_classes.cache_clear()
+    for n in range(60, 1, -1):
+        assert cf.enumerate_finite_subsystems(n, 4) == survey_per_n(n, 4), n
+    # a kept default class must not leak into an include_infinite report,
+    # nor one of its classes into a default report
+    for n in range(2, 25):
+        for include_infinite in (True, False):
+            assert cf.enumerate_finite_subsystems(
+                n, 3, include_infinite
+            ) == survey_per_n(n, 3, include_infinite), (n, include_infinite)
+
+
+# The connected sub-braidings with finite root systems that first appear at
+# C_d, as (d, representative): (positive roots, dimension).  A claim checked
+# for d <= 60 at rank <= 4, not a theorem: no new finite braiding appears
+# above d = 10 in that range.
+PRIMITIVE_FINITE_BRAIDINGS = {
+    (4, (1, 2)): (3, 16),
+    (4, (1, 2, 3)): (6, 256),
+    (5, (1, 2)): (4, 625),
+    (6, (1, 3)): (4, 72),
+    (6, (1, 4)): (4, 108),
+    (6, (2, 3)): (4, 36),
+    (7, (1, 3)): (6, 117_649),
+    (8, (1, 4)): (6, 4_096),
+    (10, (1, 5)): (8, 40_000),
+}
+
+
+def test_primitive_finite_braidings_to_60():
+    found = {
+        (d, r.representative): (r.positive_root_count, r.dimension)
+        for d in range(2, 61)
+        for r in cf.enumerate_finite_subsystems(d, 4)
+        if r.first_appears == d
+    }
+    assert found == PRIMITIVE_FINITE_BRAIDINGS
 
 
 def test_weyl_linkage_does_not_depend_on_vertex_order():

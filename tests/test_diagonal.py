@@ -384,6 +384,8 @@ def _survey_rank3_closures(max_n):
             closed.append(exploration)
         return positive_roots(exploration, max_roots)
 
+    # the survey keeps its classes across calls: start from none kept
+    cyclic_fk._finite_classes.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dg, "positive_roots", record)
         for n in range(2, max_n + 1):

@@ -19,6 +19,10 @@ for byte:
   (1, 2, 3) and on the full braiding; these were taken while every rank-3
   root closure still ran to its total bound and the survey still built,
   explored and closed the rank-4 subsets all of whose triples are infinite;
+* ``subsystems 60 --max-rank 5``, ``subsystems 120 --max-rank 4`` and
+  ``subsystems 24 --max-rank 4 --include-infinite``: composite n with many
+  divisors, taken while each n was still surveyed over all its subsets
+  rather than assembled from the primitive classes of its divisors;
 * ``groupoid sweep --max 200``, whose composites are settled by a divisor,
   the heuristic words or the whole three-reflection word family;
 * ``groupoid sweep --max 100 --verify``, which sends every composite up to
@@ -131,6 +135,12 @@ INFINITE_VERDICT_DIGESTS = {
     "pbw dim --cyclic 5": "929f412daca36a8677f5dca056736a1629682a303217f68b4d10fa9e8ea7c946",
 }
 
+DIVISOR_SURVEY_DIGESTS = {
+    "subsystems 60 --max-rank 5": "3ea2b36ebe7b8d1f5e8149ced2b69b40d22c03ae52605b3248808d346fa6c1a8",
+    "subsystems 120 --max-rank 4": "f44c986340c04eb1df095b02c5af724c658b9c201553577a83a8b686497baba7",
+    "subsystems 24 --max-rank 4 --include-infinite": "9bc33c7dde91e1bab824ae7931a5c50dac37389af562200412800783831461fc",
+}
+
 SWEEP_DIGESTS = {
     "--max 200": "39147d3798f37810834e7ce22f1db2e870085e8b3cc34291a715d56bd982d4a8",
     "--max 100 --verify": "9f31e1e9255cdd5c882416c7748d5534f3601dd9316369443e2d2a1786ea703a",
@@ -216,6 +226,11 @@ def test_include_infinite_survey_reports_are_pinned():
 @pytest.mark.parametrize("args", sorted(INFINITE_VERDICT_DIGESTS))
 def test_infinite_verdict_reports_are_pinned(args):
     assert _digest(args.split()) == INFINITE_VERDICT_DIGESTS[args]
+
+
+@pytest.mark.parametrize("args", sorted(DIVISOR_SURVEY_DIGESTS))
+def test_divisor_survey_reports_are_pinned(args):
+    assert _digest(args.split()) == DIVISOR_SURVEY_DIGESTS[args]
 
 
 @pytest.mark.parametrize("args", sorted(SWEEP_DIGESTS))

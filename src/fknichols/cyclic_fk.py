@@ -556,12 +556,16 @@ def _linked_subsets(n, objects):
 
 def _candidate_subsets(n, rank, pair_ok):
     """Subsets of 1..n-1 of the given rank, in lexicographic order, all of
-    whose pairs satisfy pair_ok; rank 2 keeps the connected pairs only."""
+    whose pairs satisfy pair_ok, or all of them when pair_ok is None; rank 2
+    keeps the connected pairs only."""
     if rank == 2:
         for a in range(1, n):
             for b in range(a + 1, n):
                 if (a + b) % n:
                     yield (a, b)
+        return
+    if pair_ok is None:
+        yield from combinations(range(1, n), rank)
         return
 
     def extend(prefix, allowed, size):
@@ -599,81 +603,67 @@ def _primitive_classes(d: int, max_rank: int, include_infinite: bool):
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    orbits: dict[tuple[int, ...], frozenset] = {}
-
-    def group(subset) -> frozenset:
-        """Unite the Galois orbit of subset, once; returns the orbit."""
-        galois = orbits.get(subset)
-        if galois is None:
-            galois = frozenset(
-                tuple(sorted(k * a % d for a in subset)) for k in unit_list
-            )
-            root = min(galois)
-            for image in galois:
-                orbits[image] = galois
-                parent[image] = root
+    def group(subset) -> list[tuple[int, ...]]:
+        """Unite the Galois orbit of subset under its minimum, unless it is
+        grouped already; returns the subsets it newly grouped."""
+        if subset in parent:
+            return []
+        galois = [tuple(sorted(k * a % d for a in subset)) for k in unit_list]
+        parent.update(dict.fromkeys(galois, min(galois)))
         return galois
 
-    # (finite, positive roots) of each class minimum reached so far and,
-    # under include_infinite, of each skipped subset
-    info: dict[tuple[int, ...], tuple[bool, frozenset | None]] = {}
-    settled: set[tuple[int, ...]] = set()  # subsets that need no exploration
-    # the lower-rank subsets of finite classes, of every gcd
+    # (decided, finite, positive roots) of each explored class, at its root
+    info: dict[tuple[int, ...], tuple[bool, bool, frozenset | None]] = {}
+    # the subsets of the finite classes found so far, of every gcd
     finite: set[tuple[int, ...]] = {
         tuple(d // e * a for a in member)
         for e in divisors(d)[1:-1]
         for _, members, _, _ in _finite_classes(e, max_rank)
         for member in members
-        if len(member) < max_rank
     }
-
-    def class_finite(subset) -> bool:
-        return info.get(find(subset), (False, None))[0]
 
     def pair_ok(a: int, b: int) -> bool:
         return (a + b) % d == 0 or (a, b) in finite
 
-    build = (lambda a, b: True) if include_infinite else pair_ok
     for rank in range(2, max_rank + 1):
-        for subset in _candidate_subsets(d, rank, build):
+        for subset in _candidate_subsets(
+            d, rank, None if include_infinite else pair_ok
+        ):
             if gcd(d, *subset) > 1:
                 continue  # a scaled class of a proper divisor of d
             if rank > 3 and not (
                 include_infinite or finite.issuperset(combinations(subset, 3))
             ):
                 continue
-            galois = group(subset)
-            if subset in settled:
-                continue
+            if subset in parent and info.get(find(subset), (False,))[0]:
+                continue  # its class is decided (fact 4)
+            grouped = group(subset)
             if rank > 2 and not all(
                 pair_ok(a, b) for a, b in combinations(subset, 2)
             ):
-                info[subset] = (False, None)
-                continue
+                continue  # an infinite connected pair (fact 5)
             exploration = diagonal.explore_groupoid(
                 cyclic_braiding(d, subset), SURVEY_MAX_OBJECTS
             )
-            linked = _linked_subsets(d, exploration.objects)
-            for other in linked:
-                group(other)
+            for other in _linked_subsets(d, exploration.objects):
+                grouped += group(other)
                 union(subset, other)
-            if exploration.status == EXISTS:
-                settled |= linked
-            if find(subset) == subset:
-                info[subset] = _classify_subset(exploration, SURVEY_MAX_ROOTS)
-            if not include_infinite and not class_finite(subset):
-                settled |= galois
-                for other in linked:
-                    settled |= orbits[other]
-        if rank < max_rank:
-            finite |= {s for s in parent if len(s) == rank and class_finite(s)}
+            root = find(subset)
+            # a class not first explored at its minimum is infinite (fact 4)
+            is_finite, roots = False, None
+            if root == subset:
+                is_finite, roots = _classify_subset(exploration, SURVEY_MAX_ROOTS)
+            if is_finite:
+                finite.update(grouped)  # its whole class, new here (fact 3)
+            decided = exploration.status == EXISTS or not include_infinite
+            info[root] = (decided, is_finite, roots)
 
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for subset in parent:
         classes.setdefault(find(subset), []).append(subset)
     out = []
     for rep in sorted(classes):
-        is_finite, roots = info.get(rep, (False, None))
+        _, is_finite, roots = info.get(rep, (False, False, None))
         if is_finite or include_infinite:
             out.append((rep, tuple(sorted(classes[rep])), is_finite, roots))
     return tuple(out)
@@ -702,36 +692,42 @@ def enumerate_finite_subsystems(
     ``SURVEY_MAX_ROOTS`` (and, at rank 3, within the 2 * 37 roots per object
     that no finite system exceeds, ``diagonal._root_closure``).
 
-    The survey classifies classes rather than subsets, using five facts:
+    The survey classifies classes rather than subsets, using six facts:
 
     1. Connectivity is arithmetic.  The edge exponent between labels a and b
        is a + b mod n, so a pair is disconnected exactly when a + b = 0, and
        every subset of rank >= 3 is connected: a split whose cross pairs
        all sum to 0 would force two labels to be equal.
-    2. Galois unions are done per orbit: each unit orbit {sorted(k*I)} is
-       computed once and its members are united in one step.
+    2. Galois unions are done per orbit: the unit orbit {sorted(k*I)} is
+       computed when the survey first reaches a member, and united at once.
     3. Weyl linkage needs no lookup table: a groupoid object is the
        canonical form of a subset, up to the order of its vertices, exactly
        when its vertices are nonzero and distinct and its edges are their
        pair sums in the object's own order; the subset is the sorted vertex
-       tuple (``_linked_subsets``).  A vertex-permuted object is the same
-       diagram, so the linkage does not depend on vertex order.  The subsets
-       linked through an existing groupoid have the same objects up to that
-       permutation, so one of them is explored.
-    4. Finiteness is constant on a class: a Galois image has an isomorphic
-       groupoid, and Weyl-linked subsets lie in the same groupoid
-       component.  Ranks are processed in ascending order and subsets in
-       lexicographic order, so the first member of a class that is explored
-       is its minimum, whose record the report shows.  The root closure runs
-       on that member only, reusing its exploration.  Without
-       ``include_infinite`` no other member of an infinite class is
-       explored.
+       tuple (``_linked_subsets``), since a vertex-permuted object is the
+       same diagram.  If the groupoid of S exists and T is linked to S, the
+       groupoid of T has the same objects up to vertex order, so linked(T)
+       = linked(S), and linked(kT) = k * linked(S) for a unit k: the class
+       of S is exactly the Galois orbits of linked(S).
+    4. A subset whose class is decided is not explored.  A class is decided
+       once an exploration finds its groupoid (fact 3) or, without
+       ``include_infinite``, gives it any verdict: finiteness is constant on
+       a class (a Galois image has an isomorphic groupoid, and Weyl-linked
+       subsets lie in one groupoid component), and only finite classes are
+       reported.  Under ``include_infinite`` a failing groupoid decides
+       nothing: a breadth-first search stops at its first failure, so two
+       starts in one class can each find only part of it, and a union-find
+       joins what they find.  Subsets go by ascending rank, then in
+       lexicographic order, so a finite class is first explored at its
+       minimum, whose record the report shows and on which alone the root
+       closure runs.
     5. A subset with an infinite sub-braiding never joins a finite class:
-       a sub-braiding of a finite one is finite.  Without
-       ``include_infinite``, a rank-3 subset is built only when each of its
-       connected pairs lies in a finite class, and a subset of rank >= 4
-       only when each of its triples does; every triple is connected by
-       fact 1.  Under ``include_infinite`` every subset is built, and one
+       a sub-braiding of a finite one is finite.  Each finite class, the
+       Galois orbits of linked(S), joins a pruning set when its exploration
+       finds it.  Without ``include_infinite``, a rank-3 subset is built only
+       when each of its connected pairs is in that set, and a subset of
+       rank >= 4 only when each of its triples is; every triple is connected
+       by fact 1.  Under ``include_infinite`` every subset is built, and one
        with an infinite connected pair is never explored.
     6. Classes never mix gcds, and each class of gcd g is g times a
        primitive class of C_{n/g}.  A unit k mod n acts on gJ as the image

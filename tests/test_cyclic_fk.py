@@ -324,6 +324,39 @@ def test_survey_matches_the_per_n_survey():
             assert cf.enumerate_finite_subsystems(
                 n, 3, include_infinite
             ) == survey_per_n(n, 3, include_infinite), (n, include_infinite)
+    # the divisor-assembled path of include_infinite at rank 4
+    for n in range(2, 21):
+        assert cf.enumerate_finite_subsystems(
+            n, 4, True
+        ) == survey_per_n(n, 4, True), n
+
+
+@pytest.mark.parametrize("include_infinite", [False, True])
+def test_survey_explores_a_class_with_a_groupoid_once(monkeypatch, include_infinite):
+    # exploring a member of a class whose groupoid exists adds nothing: its
+    # class is the Galois orbits of the subsets the first exploration linked
+    explored = {}  # (order, subset) -> whether each exploration found a groupoid
+
+    def explore(braiding, *args, **kwargs):
+        result = explore_groupoid(braiding, *args, **kwargs)
+        subset = tuple(row[0] for row in braiding.exponents)
+        key = (braiding.order, subset)
+        explored.setdefault(key, []).append(result.status == dg.EXISTS)
+        return result
+
+    explore_groupoid = dg.explore_groupoid
+    monkeypatch.setattr(dg, "explore_groupoid", explore)
+    cf._finite_classes.cache_clear()
+    for n in range(2, 31):
+        explored.clear()
+        for record in cf.enumerate_finite_subsystems(n, 4, include_infinite):
+            if record.first_appears == n:
+                found = [
+                    exists
+                    for member in record.members
+                    for exists in explored.get((n, member), [])
+                ]
+                assert len(found) == 1 or not any(found), (n, record.representative)
 
 
 # The connected sub-braidings with finite root systems that first appear at

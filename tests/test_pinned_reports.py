@@ -23,6 +23,10 @@ for byte:
   ``subsystems 24 --max-rank 4 --include-infinite``: composite n with many
   divisors, taken while each n was still surveyed over all its subsets
   rather than assembled from the primitive classes of its divisors;
+* ``subsystems 16 --max-rank 5 --include-infinite``, the one rank-5
+  survey with its infinite classes, taken while the survey still explored
+  every member of a class whose groupoid exists that no exploration had
+  linked directly;
 * ``groupoid sweep --max 200``, whose composites are settled by a divisor,
   the heuristic words or the whole three-reflection word family;
 * ``groupoid sweep --max 100 --verify``, which sends every composite up to
@@ -139,6 +143,7 @@ DIVISOR_SURVEY_DIGESTS = {
     "subsystems 60 --max-rank 5": "3ea2b36ebe7b8d1f5e8149ced2b69b40d22c03ae52605b3248808d346fa6c1a8",
     "subsystems 120 --max-rank 4": "f44c986340c04eb1df095b02c5af724c658b9c201553577a83a8b686497baba7",
     "subsystems 24 --max-rank 4 --include-infinite": "9bc33c7dde91e1bab824ae7931a5c50dac37389af562200412800783831461fc",
+    "subsystems 16 --max-rank 5 --include-infinite": "29e986fba228c713fc98b8fcb50b2553601d496447e4cbfd2d0b41c44c57037b",
 }
 
 SWEEP_DIGESTS = {

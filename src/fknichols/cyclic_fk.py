@@ -284,25 +284,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_entry(d: dict | None) -> bool:
-    """Whether d has the fields of an ``entry_to_json`` line, each of its
-    type: a missing optional field reads as None (heuristicUsed as False)."""
-    return (
-        d is not None
-        and _is_int(d.get("n"))
-        and d.get("status") in (EXISTS, FAILS_AT, BOUND_EXCEEDED_STATUS)
-        and isinstance(d.get("heuristicUsed", False), bool)
-        and all(
-            d.get(k) is None or _is_int(d[k])
-            for k in ("failingVertex", "witnessOrder", "inheritedFrom", "objects")
-        )
-        and all(
-            d.get(k) is None or (isinstance(d[k], list) and all(map(_is_int, d[k])))
-            for k in ("witness", "witnessSubset")
-        )
-    )
-
-
 def _load_checkpoint(path, header: dict) -> dict[int, SweepEntry]:
     """Entries of a sweep checkpoint: a header line, then one JSON line per n.
 
@@ -344,13 +325,13 @@ def _load_checkpoint(path, header: dict) -> dict[int, SweepEntry]:
         )
     entries: dict[int, SweepEntry] = {}
     for number, line in lines[1:]:
-        d = _json_object(line)
-        if not _is_entry(d):
+        entry = _entry_from_json(_json_object(line))
+        if entry is None:
             raise CheckpointMismatchError(
                 f"checkpoint {path} line {number} is not a sweep entry: "
                 f"{line.strip()}"
             )
-        entries[d["n"]] = _entry_from_json(d)
+        entries[entry.n] = entry
     if complete < len(data):
         with open(path, "r+b") as fh:
             fh.truncate(complete)
@@ -587,7 +568,9 @@ def _primitive_classes(d: int, max_rank: int, include_infinite: bool):
     This is the survey of ``enumerate_finite_subsystems`` restricted to one
     gcd (its fact 6).  The subsets of larger gcd are the scaled classes of
     the proper divisors of d: they seed the pruning set of fact 5, so its
-    pair and triple tests see every finite subset of C_d.
+    pair and triple tests see every finite subset of C_d.  A finite class is
+    recorded where its exploration finds it (fact 3); only include_infinite
+    walks the union-find, to add the others (fact 4).
     """
     unit_list = units(d)
     parent: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -603,17 +586,17 @@ def _primitive_classes(d: int, max_rank: int, include_infinite: bool):
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    def group(subset) -> list[tuple[int, ...]]:
+    def group(subset) -> set[tuple[int, ...]]:
         """Unite the Galois orbit of subset under its minimum, unless it is
         grouped already; returns the subsets it newly grouped."""
         if subset in parent:
-            return []
-        galois = [tuple(sorted(k * a % d for a in subset)) for k in unit_list]
+            return set()
+        galois = {tuple(sorted(k * a % d for a in subset)) for k in unit_list}
         parent.update(dict.fromkeys(galois, min(galois)))
         return galois
 
-    # (decided, finite, positive roots) of each explored class, at its root
-    info: dict[tuple[int, ...], tuple[bool, bool, frozenset | None]] = {}
+    # the roots of the classes whose groupoid exists (fact 4)
+    exists: set[tuple[int, ...]] = set()
     # the subsets of the finite classes found so far, of every gcd
     finite: set[tuple[int, ...]] = {
         tuple(d // e * a for a in member)
@@ -625,6 +608,7 @@ def _primitive_classes(d: int, max_rank: int, include_infinite: bool):
     def pair_ok(a: int, b: int) -> bool:
         return (a + b) % d == 0 or (a, b) in finite
 
+    out = []
     for rank in range(2, max_rank + 1):
         for subset in _candidate_subsets(
             d, rank, None if include_infinite else pair_ok
@@ -635,7 +619,7 @@ def _primitive_classes(d: int, max_rank: int, include_infinite: bool):
                 include_infinite or finite.issuperset(combinations(subset, 3))
             ):
                 continue
-            if subset in parent and info.get(find(subset), (False,))[0]:
+            if subset in parent and (not include_infinite or find(subset) in exists):
                 continue  # its class is decided (fact 4)
             grouped = group(subset)
             if rank > 2 and not all(
@@ -646,27 +630,29 @@ def _primitive_classes(d: int, max_rank: int, include_infinite: bool):
                 cyclic_braiding(d, subset), SURVEY_MAX_OBJECTS
             )
             for other in _linked_subsets(d, exploration.objects):
-                grouped += group(other)
+                grouped |= group(other)
                 union(subset, other)
             root = find(subset)
+            if exploration.status == EXISTS:
+                exists.add(root)
             # a class not first explored at its minimum is infinite (fact 4)
-            is_finite, roots = False, None
-            if root == subset:
-                is_finite, roots = _classify_subset(exploration, SURVEY_MAX_ROOTS)
+            if root != subset:
+                continue
+            is_finite, roots = _classify_subset(exploration, SURVEY_MAX_ROOTS)
             if is_finite:
-                finite.update(grouped)  # its whole class, new here (fact 3)
-            decided = exploration.status == EXISTS or not include_infinite
-            info[root] = (decided, is_finite, roots)
+                finite |= grouped  # its whole class, new here (fact 3)
+                out.append((subset, tuple(sorted(grouped)), True, roots))
 
-    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for subset in parent:
-        classes.setdefault(find(subset), []).append(subset)
-    out = []
-    for rep in sorted(classes):
-        _, is_finite, roots = info.get(rep, (False, False, None))
-        if is_finite or include_infinite:
-            out.append((rep, tuple(sorted(classes[rep])), is_finite, roots))
-    return tuple(out)
+    if include_infinite:
+        classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for subset in parent:
+            classes.setdefault(find(subset), []).append(subset)
+        out += [
+            (rep, tuple(sorted(members)), False, None)
+            for rep, members in classes.items()
+            if rep not in finite
+        ]
+    return tuple(sorted(out, key=lambda c: c[0]))
 
 
 @lru_cache(maxsize=None)
@@ -708,19 +694,22 @@ def enumerate_finite_subsystems(
        same diagram.  If the groupoid of S exists and T is linked to S, the
        groupoid of T has the same objects up to vertex order, so linked(T)
        = linked(S), and linked(kT) = k * linked(S) for a unit k: the class
-       of S is exactly the Galois orbits of linked(S).
+       of S is exactly the Galois orbits of linked(S).  So a finite class
+       is recorded, members and all, at the exploration that finds it.
     4. A subset whose class is decided is not explored.  A class is decided
        once an exploration finds its groupoid (fact 3) or, without
        ``include_infinite``, gives it any verdict: finiteness is constant on
        a class (a Galois image has an isomorphic groupoid, and Weyl-linked
        subsets lie in one groupoid component), and only finite classes are
-       reported.  Under ``include_infinite`` a failing groupoid decides
-       nothing: a breadth-first search stops at its first failure, so two
-       starts in one class can each find only part of it, and a union-find
-       joins what they find.  Subsets go by ascending rank, then in
-       lexicographic order, so a finite class is first explored at its
-       minimum, whose record the report shows and on which alone the root
-       closure runs.
+       reported.  Without it, a subset is grouped only once it passes the
+       test of fact 5, so it lies in an explored class.  Under
+       ``include_infinite`` a failing groupoid decides nothing: a
+       breadth-first search stops at its first failure, so two starts in one
+       class can each find only part of it, and a union-find joins what they
+       find; only there is it walked, for the classes that no exploration
+       found finite.  Subsets go by ascending rank, then in lexicographic
+       order, so a finite class is first explored at its minimum, whose
+       record the report shows and on which alone the root closure runs.
     5. A subset with an infinite sub-braiding never joins a finite class:
        a sub-braiding of a finite one is finite.  Each finite class, the
        Galois orbits of linked(S), joins a pruning set when its exploration
@@ -800,36 +789,45 @@ def enumerate_finite_subsystems(
 # JSON serialization
 
 
+#: The optional fields of a sweep entry's JSON line, as (JSON key,
+#: ``SweepEntry`` field, list or int); a missing one reads as None.
+_ENTRY_FIELDS = (
+    ("witness", "witness", list),
+    ("failingVertex", "failing_vertex", int),
+    ("witnessOrder", "witness_order", int),
+    ("witnessSubset", "witness_subset", list),
+    ("inheritedFrom", "inherited_from", int),
+    ("objects", "object_count", int),
+)
+
+
 def entry_to_json(entry: SweepEntry) -> dict:
-    return {
-        "n": entry.n,
-        "status": entry.status,
-        "witness": list(entry.witness) if entry.witness is not None else None,
-        "failingVertex": entry.failing_vertex,
-        "witnessOrder": entry.witness_order,
-        "witnessSubset": list(entry.witness_subset)
-        if entry.witness_subset is not None
-        else None,
-        "inheritedFrom": entry.inherited_from,
-        "heuristicUsed": entry.heuristic_used,
-        "objects": entry.object_count,
-    }
+    d = {"n": entry.n, "status": entry.status, "heuristicUsed": entry.heuristic_used}
+    for key, name, kind in _ENTRY_FIELDS:
+        value = getattr(entry, name)
+        d[key] = list(value) if kind is list and value is not None else value
+    return d
 
 
-def _entry_from_json(d: dict) -> SweepEntry:
-    return SweepEntry(
-        n=d["n"],
-        status=d["status"],
-        witness=tuple(d["witness"]) if d.get("witness") is not None else None,
-        failing_vertex=d.get("failingVertex"),
-        witness_order=d.get("witnessOrder"),
-        witness_subset=tuple(d["witnessSubset"])
-        if d.get("witnessSubset") is not None
-        else None,
-        inherited_from=d.get("inheritedFrom"),
-        heuristic_used=d.get("heuristicUsed", False),
-        object_count=d.get("objects"),
-    )
+def _entry_from_json(d: dict | None) -> SweepEntry | None:
+    """The sweep entry of an ``entry_to_json`` line, or None unless d has
+    its fields, each of its type (a missing heuristicUsed reads as False)."""
+    if (
+        d is None
+        or not _is_int(d.get("n"))
+        or d.get("status") not in (EXISTS, FAILS_AT, BOUND_EXCEEDED_STATUS)
+        or not isinstance(d.get("heuristicUsed", False), bool)
+    ):
+        return None
+    fields = {"heuristic_used": d.get("heuristicUsed", False)}
+    for key, name, kind in _ENTRY_FIELDS:
+        value = d.get(key)
+        if kind is list and isinstance(value, list) and all(map(_is_int, value)):
+            value = tuple(value)
+        elif value is not None and (kind is list or not _is_int(value)):
+            return None
+        fields[name] = value
+    return SweepEntry(d["n"], d["status"], **fields)
 
 
 def report_to_json(report: SweepReport) -> dict:

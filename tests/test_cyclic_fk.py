@@ -331,6 +331,16 @@ def test_survey_matches_the_per_n_survey():
         ) == survey_per_n(n, 4, True), n
 
 
+def test_include_infinite_finds_the_default_finite_classes():
+    # both modes record a finite class where its exploration finds it, and
+    # only include_infinite walks the union-find for the other classes
+    cf._finite_classes.cache_clear()
+    for n in [*range(2, 41), *range(40, 1, -1)]:
+        records = cf.enumerate_finite_subsystems(n, 4, include_infinite=True)
+        finite = [r for r in records if r.finite]
+        assert finite == cf.enumerate_finite_subsystems(n, 4), n
+
+
 @pytest.mark.parametrize("include_infinite", [False, True])
 def test_survey_explores_a_class_with_a_groupoid_once(monkeypatch, include_infinite):
     # exploring a member of a class whose groupoid exists adds nothing: its

@@ -95,7 +95,7 @@ def _cmd_groupoid_check(args):
         "command": "groupoid check",
         "n": args.n,
         "subset": sorted(subset),
-        **diagonal.exploration_to_json(result),
+        **diagonal.exploration_to_json(args.n, result),
     }
     lines = [
         f"n = {args.n}  subset = {sorted(subset)}",

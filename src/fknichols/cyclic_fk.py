@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, islice
@@ -98,7 +99,7 @@ def _heuristic_pairs(r: int):
             yield hi, lo
 
 
-def _start_diagram(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _start_diagram(n: int) -> diagonal.Diagram:
     """(labels, rows) of the full cyclic braiding of C_n in integers mod n:
     vertex i has label i and edge (i + j) mod n to vertex j.  This is
     ``full_cyclic_braiding(n).diagram()``, without the exponent matrix.
@@ -376,12 +377,11 @@ def sweep_groupoid_existence(
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=workers)
-    pending: list = []  # (n, future) in ascending n order
+    pending: deque = deque()  # (n, future) in ascending n order
 
     def flush(upto: int | None = None) -> None:
         while pending and (upto is None or pending[0][0] <= upto):
-            n0, fut = pending.pop(0)
-            record(fut.result(), fresh=True)
+            record(pending.popleft()[1].result(), fresh=True)
 
     try:
         for n in range(2, max_n + 1):
@@ -484,7 +484,7 @@ class SubsystemRecord:
     n: int
     representative: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
-    diagram: diagonal.GroupoidObject
+    diagram: diagonal.Diagram
     cartan_type: bool
     finite: bool
     positive_root_count: int | None
@@ -509,28 +509,24 @@ def _classify_subset(exploration, max_roots):
 
 
 def _linked_subsets(n, objects):
-    """Subsets whose canonical object, up to the order of its vertices, is
-    among the groupoid objects.
+    """Subsets whose diagram, up to the order of its vertices, is among the
+    groupoid objects.
 
-    The canonical object of a subset I is (I, pair sums of I mod n), so an
-    object is one, with its vertices in some order, exactly when its
-    vertices are nonzero and distinct, its edges are the pair sums of its
-    vertices in that order and, at rank 2, its edge is nonzero (the pair is
-    connected).  The subset is the sorted vertex tuple: a vertex-permuted
-    object is the same diagram, so it has the same root system up to a
-    permutation of coordinates.
+    The diagram of a subset I is (I, rows of the pair sums of I mod n), so
+    an object (labels, rows) is one, with its vertices in some order,
+    exactly when its labels are nonzero and distinct, each entry rows[i][j]
+    off the diagonal is the pair sum labels[i] + labels[j] mod n and, at
+    rank 2, the edge rows[0][1] is nonzero (the pair is connected).  The
+    subset is the sorted label tuple: a vertex-permuted diagram has the
+    same root system up to a permutation of coordinates.
     """
     out = set()
-    for obj in objects:
-        v = obj.vertices
+    for v, rows in objects:
         r = len(v)
-        if 0 in v or len(set(v)) < r:
+        if 0 in v or len(set(v)) < r or (r == 2 and not rows[0][1]):
             continue
-        if obj.edges != tuple(
-            (v[i] + v[j]) % n for i in range(r) for j in range(i + 1, r)
-        ):
-            continue
-        if r > 2 or obj.edges[0]:
+        pairs = combinations(range(r), 2)
+        if all(rows[i][j] == (v[i] + v[j]) % n for i, j in pairs):
             out.add(tuple(sorted(v)))
     return out
 
@@ -687,15 +683,16 @@ def enumerate_finite_subsystems(
     2. Galois unions are done per orbit: the unit orbit {sorted(k*I)} is
        computed when the survey first reaches a member, and united at once.
     3. Weyl linkage needs no lookup table: a groupoid object is the
-       canonical form of a subset, up to the order of its vertices, exactly
-       when its vertices are nonzero and distinct and its edges are their
-       pair sums in the object's own order; the subset is the sorted vertex
-       tuple (``_linked_subsets``), since a vertex-permuted object is the
-       same diagram.  If the groupoid of S exists and T is linked to S, the
-       groupoid of T has the same objects up to vertex order, so linked(T)
-       = linked(S), and linked(kT) = k * linked(S) for a unit k: the class
-       of S is exactly the Galois orbits of linked(S).  So a finite class
-       is recorded, members and all, at the exploration that finds it.
+       diagram of a subset, up to the order of its vertices, exactly when
+       its labels are nonzero and distinct and its edges are their pair
+       sums in the object's own order; the subset is the sorted label tuple
+       (``_linked_subsets``), since a vertex-permuted diagram has the same
+       root system up to the order of coordinates.  If the groupoid of S
+       exists and T is linked to S, the groupoid of T has the same objects
+       up to vertex order, so linked(T) = linked(S), and linked(kT) =
+       k * linked(S) for a unit k: the class of S is exactly the Galois
+       orbits of linked(S).  So a finite class is recorded, members and
+       all, at the exploration that finds it.
     4. A subset whose class is decided is not explored.  A class is decided
        once an exploration finds its groupoid (fact 3) or, without
        ``include_infinite``, gives it any verdict: finiteness is constant on
@@ -772,7 +769,7 @@ def enumerate_finite_subsystems(
                     n=n,
                     representative=rep,
                     members=tuple(tuple(g * a for a in m) for m in members),
-                    diagram=diagonal.canonical_object(braiding),
+                    diagram=braiding.diagram(),
                     cartan_type=diagonal.is_cartan_type(braiding),
                     finite=finite,
                     positive_root_count=root_count,
@@ -843,7 +840,7 @@ def record_to_json(record: SubsystemRecord) -> dict:
         "n": record.n,
         "representative": list(record.representative),
         "members": [list(m) for m in record.members],
-        "diagram": diagonal.diagram_to_json(record.diagram),
+        "diagram": diagonal.diagram_to_json(record.n, record.diagram),
         "cartanType": record.cartan_type,
         "finite": record.finite,
         "positiveRoots": record.positive_root_count,

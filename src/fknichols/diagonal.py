@@ -7,10 +7,10 @@ b with q_ij = zeta_N^(b_ij); everything the groupoid needs reduces to
 integer arithmetic mod N.  The generalized Dynkin diagram of a braiding,
 vertex labels q_ii and edge labels q_ij q_ji, is the object of its Weyl
 groupoid.  Its one form is ``DiagonalBraiding.diagram()``, the tuples
-(labels, rows) that the kernels of ``backend`` read: the exploration keys
-its objects by them and reports each as a ``GroupoidObject``
-(``canonical_object``).  ``cartan_matrix`` gives the Cartan matrix as a
-tuple of rows.
+(labels, rows) of type ``Diagram`` that the kernels of ``backend`` read:
+the exploration keys its objects by them and reports them as they are, and
+``diagram_to_json`` writes them.  ``cartan_matrix`` gives the Cartan matrix
+as a tuple of rows.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ FAILS_AT = "failsAt"
 BOUND_EXCEEDED_STATUS = "boundExceeded"
 #: Most positive roots of a finite Weyl groupoid of rank 3 (``_root_closure``)
 RANK3_MAX_POSITIVE_ROOTS = 37
+
+#: A generalized Dynkin diagram (labels, rows) mod the order: the exponents
+#: of the vertex labels q_ii, and the symmetric rows of the exponents of the
+#: edge labels q_ij q_ji, 0 on the diagonal and 0 where there is no edge.
+Diagram = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
 class DomainError(ValueError):
@@ -93,10 +98,10 @@ class DiagonalBraiding:
                         total += aj * bk * row[k]
         return total % self.order
 
-    def diagram(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    def diagram(self) -> Diagram:
         """(labels, rows): the exponents of the vertex labels q_ii, and the
         symmetric rows of the exponents of q_ij q_ji mod order, with 0 on
-        the diagonal."""
+        the diagonal.  Twist-equivalent braidings have the same diagram."""
         n, b = self.order, self.exponents
         r = range(self.rank)
         labels = tuple([b[i][i] for i in r])
@@ -122,41 +127,6 @@ def cyclic_braiding(n: int, subset) -> DiagonalBraiding:
 
 def full_cyclic_braiding(n: int) -> DiagonalBraiding:
     return cyclic_braiding(n, range(1, n))
-
-
-@dataclass(frozen=True)
-class GroupoidObject:
-    """Generalized Dynkin diagram, the twist-equivalence canonical form of a
-    braiding: the exponents of the vertex labels q_ii and of the edge labels
-    q_ij q_ji (an exponent 0 is no edge)."""
-
-    order: int
-    vertices: tuple[int, ...]
-    edges: tuple[int, ...]  # upper triangle, row-major
-
-    @property
-    def rank(self) -> int:
-        return len(self.vertices)
-
-    def edge(self, i: int, j: int) -> int:
-        """Symmetrized exponent for the unordered pair {i, j} (1-based)."""
-        if i == j:
-            return 0
-        a, b = sorted((i - 1, j - 1))
-        r = self.rank
-        pos = a * (2 * r - a - 1) // 2 + (b - a - 1)
-        return self.edges[pos]
-
-
-def _object(order: int, diagram) -> GroupoidObject:
-    """The reported form of a diagram (labels, rows)."""
-    labels, rows = diagram
-    edges = tuple([e for i, row in enumerate(rows) for e in row[i + 1 :]])
-    return GroupoidObject(order, labels, edges)
-
-
-def canonical_object(braiding: DiagonalBraiding) -> GroupoidObject:
-    return _object(braiding.order, braiding.diagram())
 
 
 def cartan_matrix(braiding: DiagonalBraiding) -> tuple[tuple[int | None, ...], ...]:
@@ -240,8 +210,9 @@ def replay_witness(braiding: DiagonalBraiding, word) -> DiagonalBraiding:
 
 @dataclass(frozen=True)
 class ExplorationResult:
-    """Outcome of a groupoid BFS over canonical diagram forms.
+    """Outcome of a groupoid BFS over diagrams.
 
+    ``objects`` holds the diagrams in the order found, the start first.
     ``transitions[s][i]`` is the index in ``objects`` of the object that the
     reflection at vertex i + 1 sends object s to, and ``mrows[s][i]`` is
     the Cartan m-row of object s at that vertex.  Both are recorded for the
@@ -250,7 +221,7 @@ class ExplorationResult:
     """
 
     status: str
-    objects: tuple[GroupoidObject, ...]
+    objects: tuple[Diagram, ...]
     morphism_count: int
     witness: tuple[int, ...] | None = None
     failing_vertex: int | None = None
@@ -280,8 +251,8 @@ def explore_groupoid(
     start = braiding.diagram()
 
     # objects in discovery order; the BFS queue is this list's unexpanded tail
-    order_seen: list[tuple] = [start]
-    index: dict[tuple, int] = {start: 0}
+    order_seen: list[Diagram] = [start]
+    index: dict[Diagram, int] = {start: 0}
     parent_of: list[tuple[int, int] | None] = [None]  # (object index, vertex)
     transitions: list[tuple[int, ...]] = []
     mrows: list[tuple[tuple[int, ...], ...]] = []
@@ -320,9 +291,9 @@ def explore_groupoid(
         if status == EXISTS:
             transitions.append(tuple(row))
             mrows.append(tuple(mrow))
-    objects = tuple([_object(n, state) for state in order_seen])
     return ExplorationResult(
-        status, objects, morphisms, witness, failing, tuple(transitions), tuple(mrows)
+        status, tuple(order_seen), morphisms, witness, failing,
+        tuple(transitions), tuple(mrows),
     )
 
 
@@ -352,7 +323,7 @@ def _root_closure(exploration: ExplorationResult, max_roots: int):
     if exploration.status == BOUND_EXCEEDED_STATUS:
         return None, False
     objects = exploration.objects
-    r = objects[0].rank
+    r = len(objects[0][0])
     per_object = 2 * RANK3_MAX_POSITIVE_ROOTS if r == 3 else max_roots
     # (vertex, m-row, target) of every reflection out of each object
     steps = [
@@ -467,7 +438,7 @@ def positive_roots(exploration: ExplorationResult, max_roots: int = 10_000):
         raise DomainError("max_roots must be at least 1")
     if (
         exploration.status == EXISTS
-        and exploration.objects[0].rank == 2
+        and len(exploration.objects[0][0]) == 2
         and rank2_is_infinite(exploration)
     ):
         return BOUND_EXCEEDED
@@ -572,22 +543,23 @@ def pbw_top_degree(braiding: DiagonalBraiding) -> int:
 # ---------------------------------------------------------------------------
 # JSON serialization (documented schema keys)
 
-def diagram_to_json(obj: GroupoidObject) -> dict:
-    """Vertex exponents, and [i, j, exponent] for each edge i < j whose
-    label q_ij q_ji is not 1."""
-    pairs = combinations(range(1, obj.rank + 1), 2)
+def diagram_to_json(order: int, diagram: Diagram) -> dict:
+    """Vertex exponents, and [i, j, exponent] for each edge i < j (1-based)
+    whose label q_ij q_ji is not 1."""
+    labels, rows = diagram
+    pairs = combinations(range(len(labels)), 2)
     return {
-        "order": obj.order,
-        "vertices": list(obj.vertices),
-        "edges": [[i, j, e] for (i, j), e in zip(pairs, obj.edges) if e],
+        "order": order,
+        "vertices": list(labels),
+        "edges": [[i + 1, j + 1, rows[i][j]] for i, j in pairs if rows[i][j]],
     }
 
 
-def exploration_to_json(result: ExplorationResult) -> dict:
+def exploration_to_json(order: int, result: ExplorationResult) -> dict:
     return {
         "status": result.status,
         "witness": list(result.witness) if result.witness is not None else None,
         "failingVertex": result.failing_vertex,
         "morphismCount": result.morphism_count,
-        "objects": [diagram_to_json(o) for o in result.objects],
+        "objects": [diagram_to_json(order, o) for o in result.objects],
     }

@@ -495,7 +495,7 @@ def survey_per_n(n: int, max_rank: int, include_infinite: bool = False):
                 n=n,
                 representative=rep,
                 members=members,
-                diagram=dg.canonical_object(braiding),
+                diagram=braiding.diagram(),
                 cartan_type=dg.is_cartan_type(braiding),
                 finite=is_finite,
                 positive_root_count=root_count,

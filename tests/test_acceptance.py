@@ -85,24 +85,18 @@ def test_criterion_03_c4_groupoid():
         for v, e in figure:
             expected.add((v, e))
             expected.add((tuple(-x % 4 for x in v), tuple(-x % 4 for x in e)))
-        assert {(o.vertices, o.edges) for o in result.objects} == expected
-        for obj in result.objects:
-            # Cartan entries depend only on the diagram data carried by obj
-            cm = dg.cartan_matrix(_braiding_from_object(obj))
+        upper = {(v, tuple(rows[0][1:] + rows[1][2:])) for v, rows in result.objects}
+        assert upper == expected
+        for labels, rows in result.objects:
+            # Cartan entries depend only on the diagram: any braiding with
+            # it will do, here the one with the labels on its diagonal and
+            # the edges above it
+            b = dg.DiagonalBraiding(
+                4, tuple((0,) * i + (labels[i],) + rows[i][i + 1 :] for i in range(3))
+            )
+            assert b.diagram() == (labels, rows)
+            cm = dg.cartan_matrix(b)
             assert cm == a3 and all(None not in row for row in cm)
-
-
-def _braiding_from_object(obj):
-    """Any braiding realizing the canonical diagram (symmetric split)."""
-    n = obj.order
-    rank = obj.rank
-    rows = [[0] * rank for _ in range(rank)]
-    for i in range(rank):
-        rows[i][i] = obj.vertices[i]
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            rows[i][j] = obj.edge(i + 1, j + 1)
-    return dg.DiagonalBraiding(n, tuple(tuple(r) for r in rows))
 
 
 def test_criterion_04_table1_dimensions():

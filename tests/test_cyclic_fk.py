@@ -397,10 +397,10 @@ def test_primitive_finite_braidings_to_60():
 
 
 def test_weyl_linkage_does_not_depend_on_vertex_order():
-    # the groupoid of (1,4,7) holds the object (2,7,6): the canonical object
+    # the groupoid of (1,4,7) holds the object (2,7,6): the diagram
     # of 7*(1,2,6) = (2,6,7) mod 8 with its last two vertices swapped
     exploration = dg.explore_groupoid(dg.cyclic_braiding(8, (1, 4, 7)))
-    assert (2, 7, 6) in {obj.vertices for obj in exploration.objects}
+    assert (2, 7, 6) in {labels for labels, _ in exploration.objects}
     assert (2, 6, 7) in cf._linked_subsets(8, exploration.objects)
     records = cf.enumerate_finite_subsystems(8, 3, include_infinite=True)
     (record,) = [r for r in records if (1, 2, 6) in r.members]

@@ -21,20 +21,26 @@ from fknichols import diagonal as dg
 from fknichols.cyclotomic import RootOfUnity
 
 
-def _edge_labels(obj):
-    """{(i, j): q_ij q_ji} over the edges of a diagram, i < j."""
+def _edge_labels(braiding):
+    """{(i, j): q_ij q_ji} over the edges of the braiding's diagram, i < j."""
+    n = braiding.order
     return {
-        (i, j): RootOfUnity(obj.order, e)
-        for i, j, e in dg.diagram_to_json(obj)["edges"]
+        (i, j): RootOfUnity(n, e)
+        for i, j, e in dg.diagram_to_json(n, braiding.diagram())["edges"]
     }
+
+
+def _upper(rows):
+    """The upper triangle of a diagram's rows, row-major: its edge exponents."""
+    return tuple(row[j] for i, row in enumerate(rows) for j in range(i + 1, len(row)))
 
 
 def _components(braiding):
     """Vertex sets of the connected components of the braiding's diagram."""
-    obj = dg.canonical_object(braiding)
+    rows = braiding.diagram()[1]
     comps = []
-    for v in range(1, obj.rank + 1):
-        joined = [c for c in comps if any(obj.edge(v, w) for w in c)]
+    for v in range(1, braiding.rank + 1):
+        joined = [c for c in comps if any(rows[v - 1][w - 1] for w in c)]
         comps = [c for c in comps if c not in joined]
         comps.append(frozenset({v}).union(*joined))
     return comps
@@ -44,9 +50,8 @@ def test_cyclic_braiding_examples():
     assert dg.cyclic_braiding(2, [1]).exponents == ((1,),)
     assert dg.full_cyclic_braiding(4).exponents == ((1, 1, 1), (2, 2, 2), (3, 3, 3))
     b = dg.cyclic_braiding(5, [1, 2])
-    diagram = dg.canonical_object(b)
-    assert diagram.order == 5 and diagram.vertices == (1, 2)
-    assert _edge_labels(diagram) == {(1, 2): RootOfUnity(5, 3)}
+    assert b.order == 5 and b.diagram()[0] == (1, 2)
+    assert _edge_labels(b) == {(1, 2): RootOfUnity(5, 3)}
 
 
 def test_cyclic_braiding_domain_errors():
@@ -61,11 +66,11 @@ def test_cyclic_braiding_domain_errors():
 
 
 def test_dynkin_diagram_c4_path():
-    diagram = dg.canonical_object(dg.full_cyclic_braiding(4))
-    assert diagram.vertices == (1, 2, 3)
+    c4 = dg.full_cyclic_braiding(4)
+    assert c4.diagram()[0] == (1, 2, 3)
     # no edge between the vertices labelled xi and xi^(n-1)
-    assert (1, 3) not in _edge_labels(diagram)
-    assert _edge_labels(diagram) == {
+    assert (1, 3) not in _edge_labels(c4)
+    assert _edge_labels(c4) == {
         (1, 2): RootOfUnity(4, 3),
         (2, 3): RootOfUnity(4, 1),
     }
@@ -73,13 +78,13 @@ def test_dynkin_diagram_c4_path():
 
 def test_dynkin_diagram_c3_isolated():
     c3 = dg.full_cyclic_braiding(3)
-    assert _edge_labels(dg.canonical_object(c3)) == {}
+    assert _edge_labels(c3) == {}
     assert len(_components(c3)) == 2
 
 
 def test_dynkin_diagram_rank_one():
-    diagram = dg.canonical_object(dg.cyclic_braiding(5, [2]))
-    assert diagram.rank == 1 and diagram.edges == ()
+    labels, rows = dg.cyclic_braiding(5, [2]).diagram()
+    assert len(labels) == 1 and _upper(rows) == ()
 
 
 def test_cartan_entries():
@@ -119,18 +124,15 @@ def test_is_cartan_type():
 def test_reflect_c6_counterexample_chain():
     # sub-braiding {4,5} of C_6: diagram (-xi, xi^-1; edge -1)
     b = dg.cyclic_braiding(6, [4, 5])
-    d0 = dg.canonical_object(b)
-    assert d0.vertices == (4, 5) and _edge_labels(d0)[(1, 2)] == RootOfUnity(2, 1)
+    assert b.diagram()[0] == (4, 5) and _edge_labels(b)[(1, 2)] == RootOfUnity(2, 1)
     assert dg.cartan_matrix(b) == ((2, -2), (-3, 2))
     b1 = dg.reflect(b, 1)
-    d1 = dg.canonical_object(b1)
-    assert d1.vertices == (4, 3)  # (-xi, -1)
-    assert _edge_labels(d1)[(1, 2)] == RootOfUnity(6, 5)  # xi^-1
+    assert b1.diagram()[0] == (4, 3)  # (-xi, -1)
+    assert _edge_labels(b1)[(1, 2)] == RootOfUnity(6, 5)  # xi^-1
     b2 = dg.reflect(b1, 2)
     assert not isinstance(b2, dg.ReflectionFailure)
     # the reached object has label 1 at the (connected) first vertex
-    d2 = dg.canonical_object(b2)
-    assert d2.vertices[0] == 0 and (1, 2) in _edge_labels(d2)
+    assert b2.diagram()[0][0] == 0 and (1, 2) in _edge_labels(b2)
     failure = dg.reflect(b2, 1)
     assert isinstance(failure, dg.ReflectionFailure)
     assert failure.vertex == 1 and not failure.edge_label.is_one
@@ -140,23 +142,21 @@ def test_reflect_disconnected_is_identity_on_diagram():
     b = dg.full_cyclic_braiding(3)
     for i in (1, 2):
         reflected = dg.reflect(b, i)
-        assert dg.canonical_object(reflected) == dg.canonical_object(b)
+        assert reflected.diagram() == b.diagram()
 
 
 def test_reflect_c4_follows_groupoid_figure():
     # a1 --s2--> a2 --s1--> a3 (vertex labels and edges of the figure)
     a1 = dg.full_cyclic_braiding(4)
     a2 = dg.reflect(a1, 2)
-    d2 = dg.canonical_object(a2)
-    assert d2.vertices == (2, 2, 2)
-    assert _edge_labels(d2) == {(1, 2): RootOfUnity(4, 1), (2, 3): RootOfUnity(4, 3)}
+    assert a2.diagram()[0] == (2, 2, 2)
+    assert _edge_labels(a2) == {(1, 2): RootOfUnity(4, 1), (2, 3): RootOfUnity(4, 3)}
     a3 = dg.reflect(a2, 1)
-    d3 = dg.canonical_object(a3)
-    assert d3.vertices == (2, 1, 2)
-    assert _edge_labels(d3) == {(1, 2): RootOfUnity(4, 3), (2, 3): RootOfUnity(4, 3)}
+    assert a3.diagram()[0] == (2, 1, 2)
+    assert _edge_labels(a3) == {(1, 2): RootOfUnity(4, 3), (2, 3): RootOfUnity(4, 3)}
     # s1 and s3 act as the identity at a1
     for i in (1, 3):
-        assert dg.canonical_object(dg.reflect(a1, i)) == dg.canonical_object(a1)
+        assert dg.reflect(a1, i).diagram() == a1.diagram()
 
 
 def test_explore_c4_six_objects():
@@ -164,7 +164,7 @@ def test_explore_c4_six_objects():
     assert result.status == dg.EXISTS
     assert len(result.objects) == 6
     assert result.morphism_count == 12
-    states = {(o.vertices, o.edges) for o in result.objects}
+    states = {(labels, _upper(rows)) for labels, rows in result.objects}
     a1 = ((1, 2, 3), (3, 0, 1))
     a2 = ((2, 2, 2), (1, 0, 3))
     a3 = ((2, 1, 2), (3, 0, 3))
@@ -244,7 +244,7 @@ def test_reflect_is_involution_on_diagrams(rng):
         second = dg.reflect(first, i)
         if isinstance(second, dg.ReflectionFailure):
             continue
-        assert dg.canonical_object(second) == dg.canonical_object(b)
+        assert second.diagram() == b.diagram()
         done += 1
 
 
@@ -337,15 +337,13 @@ def test_cartan_type_groupoids_have_constant_cartan_data(braiding):
     result = dg.explore_groupoid(braiding)
     assert result.status == dg.EXISTS
     datas = set()
-    for obj in result.objects:
-        diag = list(obj.vertices)
-        edge = [[obj.edge(i + 1, j + 1) for j in range(obj.rank)] for i in range(obj.rank)]
+    for labels, rows in result.objects:
         from fknichols import backend
 
         entries = []
-        for i in range(obj.rank):
-            m = backend.cartan_mrow(diag, edge, obj.order, i)
-            entries.append(tuple(2 if j == i else -m[j] for j in range(obj.rank)))
+        for i in range(len(labels)):
+            m = backend.cartan_mrow(labels, rows, braiding.order, i)
+            entries.append(tuple(2 if j == i else -m[j] for j in range(len(labels))))
         datas.add(tuple(entries))
     assert len(datas) == 1
 
@@ -380,7 +378,7 @@ def _survey_rank3_closures(max_n):
     positive_roots = dg.positive_roots
 
     def record(exploration, max_roots):
-        if exploration.objects[0].rank == 3:
+        if len(exploration.objects[0][0]) == 3:
             closed.append(exploration)
         return positive_roots(exploration, max_roots)
 
@@ -493,14 +491,9 @@ def test_reflection_is_an_involution_on_groupoid_objects(data):
         for i in range(rank):
             target = moves[s][i]
             assert moves[target][i] == s, (n, subset, s, i)
-            assert _object_mrow(obj, i) == _object_mrow(
-                exploration.objects[target], i
+            assert kernels.cartan_mrow(*obj, n, i) == kernels.cartan_mrow(
+                *exploration.objects[target], n, i
             ), (n, subset, s, i)
-
-
-def _object_mrow(obj, i):
-    edge = [[obj.edge(j + 1, k + 1) for k in range(obj.rank)] for j in range(obj.rank)]
-    return kernels.cartan_mrow(list(obj.vertices), edge, obj.order, i)
 
 
 @pytest.mark.parametrize(
@@ -517,8 +510,11 @@ def test_exploration_keeps_the_mrows_of_expanded_objects(braiding, max_objects, 
     exploration = dg.explore_groupoid(braiding, max_objects)
     assert exploration.status == status
     assert len(exploration.mrows) == len(exploration.transitions) > 0
+    n = braiding.order
     for obj, rows in zip(exploration.objects, exploration.mrows):
-        assert rows == tuple(tuple(_object_mrow(obj, i)) for i in range(obj.rank))
+        assert rows == tuple(
+            tuple(kernels.cartan_mrow(*obj, n, i)) for i in range(braiding.rank)
+        )
 
 
 def test_root_enumeration_propagates_failure():
@@ -629,7 +625,42 @@ def test_pbw_dimension_equals_series_sum(braiding):
 
 def test_json_round_trips():
     result = dg.explore_groupoid(dg.full_cyclic_braiding(4))
-    data = dg.exploration_to_json(result)
+    data = dg.exploration_to_json(4, result)
     assert data["status"] == "exists"
     assert len(data["objects"]) == 6
     assert json.loads(json.dumps(data)) == data
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_explored_objects_are_diagrams_in_the_one_form(n):
+    """Every object an exploration reports, run to its end or stopped at 5
+    objects, is a diagram (labels, rows) mod n: the start is the braiding's
+    own diagram, the rows are symmetric with 0 on the diagonal, and its JSON
+    edges are exactly the nonzero entries above the diagonal, 1-based."""
+    for rank in range(1, 4):
+        for subset in combinations(range(1, n), rank):
+            braiding = dg.cyclic_braiding(n, subset)
+            for max_objects in (100_000, 5):
+                result = dg.explore_groupoid(braiding, max_objects)
+                if max_objects == 5:
+                    assert len(result.objects) <= 5
+                else:
+                    assert result.status in (dg.EXISTS, dg.FAILS_AT), subset
+                assert result.objects[0] == braiding.diagram()
+                for labels, rows in result.objects:
+                    assert len(labels) == len(rows) == rank
+                    assert all(0 <= a < n for a in labels)
+                    for i in range(rank):
+                        assert len(rows[i]) == rank and rows[i][i] == 0
+                        for j in range(rank):
+                            assert 0 <= rows[i][j] < n
+                            assert rows[i][j] == rows[j][i]
+                    data = dg.diagram_to_json(n, (labels, rows))
+                    assert data["order"] == n and data["vertices"] == list(labels)
+                    edges = data["edges"]
+                    assert edges == sorted(edges)
+                    assert {(i, j): e for i, j, e in edges} == {
+                        (i + 1, j + 1): rows[i][j]
+                        for i, j in combinations(range(rank), 2)
+                        if rows[i][j]
+                    }

@@ -77,8 +77,8 @@ def test_galois_relabelling_preserves_exploration_roots_and_dimension(case):
         eb.witness,
     )
     assert eb.transitions == ea.transitions
-    assert [o.vertices for o in eb.objects] == [
-        tuple(k * v % n for v in o.vertices) for o in ea.objects
+    assert [labels for labels, _ in eb.objects] == [
+        tuple(k * v % n for v in labels) for labels, _ in ea.objects
     ]
 
 

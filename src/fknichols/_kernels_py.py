@@ -18,11 +18,17 @@ Conventions:
   ``ring`` is the ``ZetaRing`` of the conductor: it owns the power table
   of zeta and the conjugation matrices, and every product in Z[zeta] goes
   through it (``_cyc_mul``).
+* The echelon's reduce holds the vector it reduces as an accumulator, a
+  dict from keys to nonzero coefficients (tuples, or residues mod p), with
+  a heap of its keys; ``combine_exact`` and ``combine_mod`` subtract one
+  pivot from it in place.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from math import gcd
+from operator import add, neg
 
 UNDEFINED = -1
 DIAGONAL_M = -2
@@ -317,76 +323,63 @@ def _scaled(m, co, ring):
     return [tuple([n * x for x in c]) for c in co]
 
 
-def combine_exact(amul, aidx, aco, bmul, bidx, bco, ring):
-    """Sparse combination amul*A - bmul*B over Z[zeta], content-stripped.
+def combine_exact(amul, acc, heap, bmul, pidx, pco, ring):
+    """One step of the echelon's reduce over Z[zeta], in place: acc becomes
+    amul*acc - bmul*P for the pivot P = (pidx, pco), or that divided by
+    amul when amul is a rational integer a that divides bmul, that is, acc
+    becomes acc - (bmul/a)*P.  Returns True when it divided by a < 0.
 
-    A = (aidx, aco) and B = (bidx, bco) must be zero-free (no entry is the
-    zero tuple) and amul, bmul nonzero; ``ExactEchelon`` keeps both.  Each
-    vector is scaled once, by amul and by -bmul (``_scaled``: 1 copies
-    nothing, any other rational integer costs phi products per entry, and
-    only a non-rational multiplier builds its matrix, or takes it from the
-    ring's table, and applies it to every entry).  Z[zeta] is a domain, so
-    a key held by one vector keeps a nonzero entry; only a key held by
-    both is summed and tested for zero.  Returns (idx, co) with
-    zero entries dropped, divided by the integer content of co.
+    ``acc`` maps keys to coefficient tuples, none of them zero, and ``heap``
+    is a heap that holds every key of acc (and may hold stale ones); P must
+    be zero-free and amul, bmul nonzero.  The echelon's pivot leads are
+    rational integers, nearly always 1 or -1, and divide bmul nearly always,
+    so acc is seldom scaled; when it is, amul multiplies every entry
+    (``_scaled``).  -bmul (or -bmul/a) scales the pivot's entries, and only
+    those are touched: a key of P that acc lacks is added and pushed on
+    ``heap``, and one held by both is summed and dropped when it becomes
+    zero.  Z[zeta] is a domain, so no other entry can vanish.  No content
+    is stripped; ``ExactEchelon`` strips it once, from the residual.
     """
-    sa = _scaled(amul, aco, ring)
-    sb = _scaled(tuple([-x for x in bmul]), bco, ring)
-    na, nb = len(aidx), len(bidx)
-    ia = ib = 0
-    idx_out = []
-    co_out = []
-    while ia < na and ib < nb:
-        ka = aidx[ia]
-        kb = bidx[ib]
-        if ka < kb:
-            idx_out.append(ka)
-            co_out.append(sa[ia])
-            ia += 1
-        elif kb < ka:
-            idx_out.append(kb)
-            co_out.append(sb[ib])
-            ib += 1
+    a = amul[0]
+    negated = False
+    if a != 1 or any(amul[1:]):
+        if any(amul[1:]) or any(x % a for x in bmul):
+            acc.update(zip(list(acc), _scaled(amul, list(acc.values()), ring)))
         else:
-            c = tuple([x + y for x, y in zip(sa[ia], sb[ib])])
+            bmul = tuple([x // a for x in bmul])
+            negated = a < 0
+    get = acc.get
+    for k, c in zip(pidx, _scaled(tuple(map(neg, bmul)), pco, ring)):
+        s = get(k)
+        if s is None:
+            acc[k] = c
+            heappush(heap, k)
+        else:
+            c = tuple(map(add, s, c))
             if any(c):
-                idx_out.append(ka)
-                co_out.append(c)
-            ia += 1
-            ib += 1
-    if ia < na:
-        idx_out.extend(aidx[ia:])
-        co_out.extend(sa[ia:])
-    elif ib < nb:
-        idx_out.extend(bidx[ib:])
-        co_out.extend(sb[ib:])
-    g = _content(co_out)
-    if g > 1:
-        co_out = [tuple(x // g for x in c) for c in co_out]
-    return idx_out, co_out
+                acc[k] = c
+            else:
+                del acc[k]
+    return negated
 
 
-def combine_mod(amul, aidx, aco, bmul, bidx, bco, p):
-    """Sparse combination amul*A - bmul*B over the prime field F_p."""
-    na, nb = len(aidx), len(bidx)
-    ia = ib = 0
-    idx_out = []
-    co_out = []
-    while ia < na or ib < nb:
-        if ib >= nb or (ia < na and aidx[ia] < bidx[ib]):
-            c = amul * aco[ia] % p
-            pos = aidx[ia]
-            ia += 1
-        elif ia >= na or bidx[ib] < aidx[ia]:
-            c = -bmul * bco[ib] % p
-            pos = bidx[ib]
-            ib += 1
+def combine_mod(amul, acc, heap, bmul, pidx, pco, p):
+    """One step of the echelon's reduce over the prime field F_p, in place:
+    acc <- amul*acc - bmul*P, with acc, heap and P as in ``combine_exact``
+    and entries residues in [1, p).  ``ModularEchelon`` keeps its pivots
+    monic, so amul = 1 and only the pivot's entries are touched."""
+    if amul != 1:
+        acc.update(zip(list(acc), [amul * c % p for c in acc.values()]))
+    nb = p - bmul
+    get = acc.get
+    for k, c in zip(pidx, pco):
+        s = get(k)
+        if s is None:
+            acc[k] = nb * c % p
+            heappush(heap, k)
         else:
-            c = (amul * aco[ia] - bmul * bco[ib]) % p
-            pos = aidx[ia]
-            ia += 1
-            ib += 1
-        if c:
-            idx_out.append(pos)
-            co_out.append(c)
-    return idx_out, co_out
+            c = (s + nb * c) % p
+            if c:
+                acc[k] = c
+            else:
+                del acc[k]

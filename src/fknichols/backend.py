@@ -13,6 +13,10 @@ this layout, so keep it:
   made through ``_kernels_py`` directly would not be counted.
 * The kernels stay in the file ``_kernels_py.py``: the benchmark's
   wrong-kernel self-test edits that file by name.
+* ``combine_exact`` and ``combine_mod`` are the in-place steps of the
+  echelon's one-pass reduce: ``_linalg`` calls one once per pivot met, on
+  the dict accumulator and key heap of the vector it reduces, so their
+  call counts are the number of pivots met.
 """
 
 from fknichols import _kernels_py

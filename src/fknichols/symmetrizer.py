@@ -374,7 +374,8 @@ class _ExactScalars:
     def solve(den: int, own, idx, co):
         """x = -(sum co_k y_k) / (own den) as a row (D, idx, co) of integer
         coefficients over the positive integer D.  ``own`` is a rational
-        integer: the echelon only multiplies by pivot leads, which are."""
+        integer: the echelon only multiplies it by pivot leads, which are,
+        and divides the residual by an integer content."""
         d = own[0] * den
         if d > 0:
             co = [tuple(-x for x in c) for c in co]
@@ -437,8 +438,9 @@ class _ModularScalars:
 
     def solve(self, den: int, own, idx, co):
         """As ``_ExactScalars.solve``; every row has denominator 1.  The
-        echelon scales a residual by pivot leads, so own carries that
-        nonzero scalar too, and dividing by own removes it."""
+        echelon stores its pivots monic, so a residual is a nonzero multiple
+        of the one unnormalised pivots would give; own carries that scalar
+        too, and dividing by own removes it: the row is the same."""
         inv = pow(own * den, -1, self.p)
         return 1, idx, [-c * inv % self.p for c in co]
 
@@ -575,11 +577,11 @@ class _Calculator:
         span, so a residual whose lead is a tag column stands for zero: the
         candidate is dependent, with own D y_b a + sum co_k y_k = 0, where
         own is its coefficient at its own tag, the last column.  In exact
-        mode own is a rational integer (each reduction step multiplies by a
-        pivot lead, which ``ExactEchelon`` keeps a rational integer, and
-        divides by an integer content), so the row of y_b a has an integer
-        denominator and nothing divides in Q(zeta).  A pivot's basis
-        element is D y_b a itself.
+        mode own is a rational integer (a reduction step multiplies it by a
+        pivot lead, which ``ExactEchelon`` keeps a rational integer, or
+        leaves it, and the residual is divided by its integer content), so
+        the row of y_b a has an integer denominator and nothing divides in
+        Q(zeta).  A pivot's basis element is D y_b a itself.
 
         At ``self.top`` the candidates enter without their tag columns and
         a candidate is a pivot exactly when ``insert`` keeps its residual

@@ -25,16 +25,23 @@
   ``CyclotomicNumber`` products and ``ZetaRing.norm_cofactor`` against it.
   Its reduction rows and the powers of zeta come from ``zeta_power``, a long
   division by the cyclotomic polynomial, not from the package's table.
-* The sparse Z[zeta] combination kernel as it was before it special-cased
-  rational-integer multipliers: every entry goes through the convolution
-  ``_cyc_mul`` and is tested for zero.  The tests compare ``combine_exact``
-  against it.
+* The sparse combination kernels as they were before the echelon reduced
+  in one pass, ``merge_exact`` (and ``combine_exact``, the same with its
+  content stripped) and ``combine_mod``: each merges amul*A - bmul*B into
+  new lists, and in exact mode every entry goes through the convolution
+  ``_cyc_mul`` and is tested for zero.  The tests compare the in-place
+  steps ``combine_exact`` and ``combine_mod`` of ``_kernels_py`` against
+  them.
+* ``ReferenceEchelon``, the echelon whose reduce rebuilt the vector at
+  every pivot met, over those kernels.  The tests compare ``_linalg``'s
+  echelons against it in both modes, reduce by reduce.
 * Dense reduced row echelon form over Q, the oracle for the echelon ranks
   of ``_linalg`` and for the symmetrizer's ranks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
@@ -667,8 +674,9 @@ def reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zeta_power(n, k) for k in range(phi, 2 * phi - 1))
 
 
-def combine_exact(amul, aidx, aco, bmul, bidx, bco, ring):
-    """Sparse combination amul*A - bmul*B over Z[zeta], content-stripped.
+def merge_exact(amul, aidx, aco, bmul, bidx, bco, ring):
+    """Sparse combination amul*A - bmul*B over Z[zeta], merged into new
+    lists, every entry through the convolution ``_cyc_mul``.
 
     ``ring`` is the conductor's ``ZetaRing``; only its phi and conductor
     are read.
@@ -699,10 +707,95 @@ def combine_exact(amul, aidx, aco, bmul, bidx, bco, ring):
         if any(c):
             idx_out.append(pos)
             co_out.append(c)
-    g = _content(co_out)
-    if g > 1:
-        co_out = [tuple(x // g for x in c) for c in co_out]
     return idx_out, co_out
+
+
+def combine_exact(amul, aidx, aco, bmul, bidx, bco, ring):
+    """``merge_exact`` divided by the integer content of its result: the
+    step of ``ReferenceEchelon`` in exact mode."""
+    idx, co = merge_exact(amul, aidx, aco, bmul, bidx, bco, ring)
+    g = _content(co)
+    if g > 1:
+        co = [tuple(x // g for x in c) for c in co]
+    return idx, co
+
+
+def combine_mod(amul, aidx, aco, bmul, bidx, bco, p):
+    """Sparse combination amul*A - bmul*B over F_p, merged into new lists:
+    the modular twin of ``combine_exact``."""
+    na, nb = len(aidx), len(bidx)
+    ia = ib = 0
+    idx_out = []
+    co_out = []
+    while ia < na or ib < nb:
+        if ib >= nb or (ia < na and aidx[ia] < bidx[ib]):
+            c = amul * aco[ia] % p
+            pos = aidx[ia]
+            ia += 1
+        elif ia >= na or bidx[ib] < aidx[ia]:
+            c = -bmul * bco[ib] % p
+            pos = bidx[ib]
+            ib += 1
+        else:
+            c = (amul * aco[ia] - bmul * bco[ib]) % p
+            pos = aidx[ia]
+            ia += 1
+            ib += 1
+        if c:
+            idx_out.append(pos)
+            co_out.append(c)
+    return idx_out, co_out
+
+
+class ReferenceEchelon:
+    """The echelon as it reduced before its one-pass reduce: pivots kept
+    sorted by lead, and each pivot p met rebuilds the whole vector v as the
+    merge lead(p) v - lead(v) p (``combine_exact``, content-stripped at
+    every step, or ``combine_mod``).  ``mode`` is "exact", with the
+    conductor's ``ZetaRing`` as context, or "modular", with the prime.
+    Exact pivots are stored as ``ExactEchelon`` documents, c(a) v over its
+    integer content, with the products taken by the convolution; modular
+    pivots as reduce left them."""
+
+    def __init__(self, mode: str, context):
+        self.mode = mode
+        self.context = context
+        self.leads: list[int] = []
+        self.vectors: list = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.leads)
+
+    def insert(self, idx, co) -> bool:
+        idx, co = self.reduce(idx, co)
+        if idx:
+            self.append(idx, co)
+        return bool(idx)
+
+    def reduce(self, idx, co):
+        kernel = combine_exact if self.mode == "exact" else combine_mod
+        leads = self.leads
+        while idx:
+            pos = bisect_left(leads, idx[0])
+            if pos == len(leads) or leads[pos] != idx[0]:
+                break
+            pidx, pco = self.vectors[pos]
+            idx, co = kernel(pco[0], idx, co, co[0], pidx, pco, self.context)
+        return idx, co
+
+    def append(self, idx, co) -> None:
+        if self.mode == "exact" and any(co[0][1:]):
+            ring = self.context
+            phi, red = ring.phi, reduction_rows(ring.conductor)
+            cofactor = ring.norm_cofactor(co[0])
+            co = [_cyc_mul(cofactor, c, phi, red) for c in co]
+            g = _content(co)
+            if g > 1:
+                co = [tuple(x // g for x in c) for c in co]
+        pos = bisect_left(self.leads, idx[0])
+        self.leads.insert(pos, idx[0])
+        self.vectors.insert(pos, (idx, co))
 
 
 def rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -1,4 +1,5 @@
 import cmath
+import heapq
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import _oracles
 from conftest import echelon_vector
 from fknichols import backend, cyclotomic
-from fknichols._kernels_py import _cyc_mul, combine_exact
+from fknichols._kernels_py import _cyc_mul, combine_exact, combine_mod
 from fknichols._linalg import ExactEchelon, ModularEchelon
 from fknichols._numtheory import euler_phi, units
 from fknichols.cyclotomic import (
@@ -391,18 +392,39 @@ def _kernel_args(conductor, amul, a, bmul, b):
     return amul, *a, bmul, *b, cyclotomic.zeta_ring(conductor)
 
 
-@st.composite
-def combine_cases(draw):
-    """Zero-free sparse vectors A, B over Z[zeta] and nonzero multipliers:
-    1, -1, other rational integers or any nonzero element.  B copies some of
-    A's entries, and bmul sometimes equals amul, so entries cancel."""
-    conductor = draw(st.sampled_from(KERNEL_CONDUCTORS))
-    phi = euler_phi(conductor)
-    nonzero = _small_tuples(conductor)
+def _step(kernel, amul, a, bmul, b, context):
+    """Apply an in-place kernel to A = (aidx, aco) as the echelon holds it,
+    a dict and a heap of its keys; (idx, co) sorted, its return value, and
+    the heap."""
+    acc, heap = dict(zip(*a)), list(a[0])
+    result = kernel(amul, acc, heap, bmul, *b, context)
+    assert all(k in heap for k in acc)
+    assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
+    idx = sorted(acc)
+    return idx, [acc[k] for k in idx], result
 
-    def multiplier():
-        n = draw(st.sampled_from([1, -1, 2, -3, 7, None]))
-        return draw(nonzero) if n is None else (n,) + (0,) * (phi - 1)
+
+def _exact_divisor(amul, bmul):
+    """The d of ``combine_exact``: amul when it is a rational integer that
+    divides bmul, else 1."""
+    a = amul[0]
+    return a if not any(amul[1:]) and not any(x % a for x in bmul) else 1
+
+
+def _check_exact_step(conductor, amul, a, bmul, b):
+    """The step leaves (amul*A - bmul*B) / d, d as in ``_exact_divisor``,
+    and reports d < 0."""
+    args = _kernel_args(conductor, amul, a, bmul, b)
+    idx, co, negated = _step(combine_exact, amul, a, bmul, b, args[-1])
+    d = _exact_divisor(amul, bmul)
+    assert negated == (d < 0)
+    assert all(any(c) for c in co)
+    assert (idx, [tuple(d * x for x in c) for c in co]) == _oracles.merge_exact(*args), args
+
+
+def _sparse_pair(draw, nonzero):
+    """Sparse vectors A, B over the keys 0..15 with entries drawn from
+    ``nonzero``; B copies some of A's entries, so that entries cancel."""
 
     def keys():
         return sorted(draw(st.sets(st.integers(0, 15), max_size=10)))
@@ -411,18 +433,35 @@ def combine_cases(draw):
     aco = [draw(nonzero) for _ in aidx]
     a_at = dict(zip(aidx, aco))
     bco = [a_at[k] if k in a_at and draw(st.booleans()) else draw(nonzero) for k in bidx]
+    return (aidx, aco), (bidx, bco)
+
+
+@st.composite
+def combine_cases(draw):
+    """Zero-free sparse vectors A, B over Z[zeta] (``_sparse_pair``) and
+    nonzero multipliers: 1, -1, other rational integers or any nonzero
+    element.  bmul sometimes equals amul, so entries cancel."""
+    conductor = draw(st.sampled_from(KERNEL_CONDUCTORS))
+    phi = euler_phi(conductor)
+    nonzero = _small_tuples(conductor)
+
+    def multiplier():
+        n = draw(st.sampled_from([1, -1, 2, -3, 7, None]))
+        return draw(nonzero) if n is None else (n,) + (0,) * (phi - 1)
+
+    a, b = _sparse_pair(draw, nonzero)
     amul = multiplier()
     bmul = amul if draw(st.booleans()) else multiplier()
-    return conductor, amul, (aidx, aco), bmul, (bidx, bco)
+    if draw(st.booleans()) and not any(amul[1:]):
+        # a multiple of a rational amul, so that the step divides
+        bmul = tuple(amul[0] * x for x in draw(nonzero))
+    return conductor, amul, a, bmul, b
 
 
 @settings(max_examples=400, deadline=None)
 @given(combine_cases())
 def test_combine_exact_matches_the_reference_kernel(case):
-    args = _kernel_args(*case)
-    idx, co = combine_exact(*args)
-    assert (idx, co) == _oracles.combine_exact(*args)
-    assert all(any(c) for c in co)
+    _check_exact_step(*case)
 
 
 EDGE_VECTORS = [
@@ -448,28 +487,129 @@ def test_combine_exact_on_empty_and_disjoint_vectors(conductor):
         a, b = (a[0], pad(a[1])), (b[0], pad(b[1]))
         for amul, bmul in [(1, 1), (-1, 6), (2, -1), (None, None)]:
             amul, bmul = mul(amul, (1, 2, 0, -1)), mul(bmul, (3, -1, 3, 1))
-            args = _kernel_args(conductor, amul, a, bmul, b)
-            assert combine_exact(*args) == _oracles.combine_exact(*args), args
+            _check_exact_step(conductor, amul, a, bmul, b)
+
+
+@st.composite
+def mod_combine_cases(draw):
+    """``combine_cases`` over F_p: residues in [1, p), multipliers 1 or any
+    nonzero residue."""
+    p = draw(st.sampled_from([2, 3, 7, 101]))
+    nonzero = st.integers(1, p - 1)
+    a, b = _sparse_pair(draw, nonzero)
+    amul = draw(st.sampled_from([1, None])) or draw(nonzero)
+    bmul = amul if draw(st.booleans()) else draw(nonzero)
+    return p, amul, a, bmul, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(mod_combine_cases())
+def test_combine_mod_matches_the_reference_kernel(case):
+    p, amul, a, bmul, b = case
+    idx, co, _ = _step(combine_mod, amul, a, bmul, b, p)
+    assert (idx, co) == _oracles.combine_mod(amul, *a, bmul, *b, p)
 
 
 @settings(max_examples=60, deadline=None)
 @given(low_rank_matrices(KERNEL_CONDUCTORS, size=6))
 def test_echelon_is_the_same_under_the_reference_kernel(mat):
-    def echelon():
-        ech = ExactEchelon(mat[0][0].conductor)
-        for j in range(len(mat[0])):
-            ech.insert(*echelon_vector((i, row[j]) for i, row in enumerate(mat)))
-        return ech
-
-    new = echelon()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(backend, "combine_exact", _oracles.combine_exact)
-        old = echelon()
-    assert new.leads == old.leads
-    assert new.vectors == old.vectors
+    conductor = mat[0][0].conductor
+    new = ExactEchelon(conductor)
+    old = _oracles.ReferenceEchelon("exact", cyclotomic.zeta_ring(conductor))
+    for j in range(len(mat[0])):
+        vector = echelon_vector((i, row[j]) for i, row in enumerate(mat))
+        assert new.insert(*vector) == old.insert(*vector)
+    assert sorted(new.pivots) == old.leads
+    assert [new.pivots[lead] for lead in old.leads] == old.vectors
 
 
-@pytest.mark.parametrize(
+@st.composite
+def echelon_scripts(draw):
+    """A mode, its context, a number of key columns and a list of sparse
+    vectors over them, each to be inserted or reduced with a tag.  A vector
+    is random or a combination of two earlier ones, so reduces meet several
+    pivots and cancel entries."""
+    mode = draw(st.sampled_from(["exact", "modular"]))
+    if mode == "exact":
+        conductor = draw(st.sampled_from(KERNEL_CONDUCTORS))
+        context = cyclotomic.zeta_ring(conductor)
+        phi, red = context.phi, _oracles.reduction_rows(conductor)
+        scalars = _small_tuples(conductor)
+
+        def combine(x, y, cx, cy):
+            return tuple(
+                u + v
+                for u, v in zip(_oracles._cyc_mul(cx, x, phi, red), _oracles._cyc_mul(cy, y, phi, red))
+            )
+
+        nonzero = any
+    else:
+        context = draw(st.sampled_from([2, 3, 7, 101]))
+        scalars = st.integers(1, context - 1)
+
+        def combine(x, y, cx, cy):
+            return (cx * x + cy * y) % context
+
+        nonzero = bool
+    ncols = draw(st.integers(1, 10))
+    vectors = []
+    for _ in range(draw(st.integers(1, 14))):
+        if len(vectors) >= 2 and draw(st.booleans()):
+            (xi, xc), (yi, yc) = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+            cx, cy = draw(scalars), draw(scalars)
+            x, y = dict(zip(xi, xc)), dict(zip(yi, yc))
+            zero = (0,) * phi if mode == "exact" else 0
+            entries = {k: combine(x.get(k, zero), y.get(k, zero), cx, cy) for k in set(x) | set(y)}
+            idx = sorted(k for k, c in entries.items() if nonzero(c))
+            co = [entries[k] for k in idx]
+        else:
+            idx = sorted(draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)))
+            co = [draw(scalars) for _ in idx]
+        vectors.append((idx, co))
+    tagged = [draw(st.booleans()) for _ in vectors]
+    return mode, context, ncols, list(zip(vectors, tagged))
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_scripts())
+def test_one_pass_reduce_matches_the_reference_echelon(script):
+    """Inserts, and reduces tagged with a fresh column past the keys that
+    are appended when their residual's lead is a key, as the symmetrizer
+    does: the same leads and ranks, exact pivots and residuals identical,
+    modular residuals and pivots equal up to a nonzero scalar."""
+    mode, context, ncols, steps = script
+    if mode == "exact":
+        new, one = ExactEchelon(context.conductor), (1,) + (0,) * (context.phi - 1)
+    else:
+        new, one = ModularEchelon(context), 1
+    old = _oracles.ReferenceEchelon(mode, context)
+
+    def same(a, b):
+        (aidx, aco), (bidx, bco) = a, b
+        assert aidx == bidx
+        if mode == "exact" or not aco:
+            assert aco == bco
+        else:
+            scale = aco[0] * pow(bco[0], -1, context) % context
+            assert aco == [c * scale % context for c in bco]
+
+    for k, ((idx, co), tagged) in enumerate(steps):
+        if tagged:
+            vector = (idx + [ncols + k], co + [one])
+            residual, old_residual = new.reduce(*vector), old.reduce(*vector)
+            same(residual, old_residual)
+            if residual[0][0] < ncols:
+                new.append(*residual)
+                old.append(*old_residual)
+        else:
+            assert new.insert(idx, co) == old.insert(idx, co)
+        assert new.rank == old.rank
+        assert sorted(new.pivots) == old.leads
+        for lead, vector in zip(old.leads, old.vectors):
+            same(new.pivots[lead], vector)
+
+
+STEP_CASES = pytest.mark.parametrize(
     "kernel, echelon, vector",
     [
         ("combine_exact", lambda: ExactEchelon(5), ([1, 3], [(1, 2, 0, 0), (0, 0, 1, 0)])),
@@ -477,22 +617,47 @@ def test_echelon_is_the_same_under_the_reference_kernel(mat):
     ],
     ids=["exact", "modular"],
 )
-def test_a_step_that_keeps_the_lead_raises(kernel, echelon, vector):
-    # a kernel that returns its first vector unchanged never cancels the
-    # lead; without the progress check reduce would call it forever
+
+
+def _faulty_step_raises(kernel, echelon, vector, fault):
+    """Insert the vector twice, the second time through a kernel that takes
+    the right step and then ``fault(acc, heap, bmul, pidx)``: reduce must
+    raise ArithmeticError after that one call."""
+    right = getattr(backend, kernel)
     calls = 0
 
-    def stuck(amul, aidx, aco, *rest):
+    def faulty(amul, acc, heap, bmul, pidx, pco, context):
         nonlocal calls
         calls += 1
         if calls == 100:
-            raise RuntimeError("reduce repeated a step that kept the lead")
-        return aidx, aco
+            raise RuntimeError("reduce repeated a faulty step")
+        right(amul, acc, heap, bmul, pidx, pco, context)
+        fault(acc, heap, bmul, pidx)
 
     ech = echelon()
     assert ech.insert(*vector)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(backend, kernel, stuck)
+        mp.setattr(backend, kernel, faulty)
         with pytest.raises(ArithmeticError):
             ech.insert(*vector)
     assert calls == 1
+
+
+@STEP_CASES
+def test_a_step_that_keeps_the_lead_raises(kernel, echelon, vector):
+    # a kernel that writes the lead back never cancels it; without the
+    # progress check reduce would return it as the residual's lead
+    def keep_lead(acc, heap, bmul, pidx):
+        acc[pidx[0]] = bmul
+
+    _faulty_step_raises(kernel, echelon, vector, keep_lead)
+
+
+@STEP_CASES
+def test_a_step_that_writes_below_the_lead_raises(kernel, echelon, vector):
+    # a key below the lead would be met after the lead it should precede
+    def write_below(acc, heap, bmul, pidx):
+        acc[0] = bmul
+        heapq.heappush(heap, 0)
+
+    _faulty_step_raises(kernel, echelon, vector, write_below)

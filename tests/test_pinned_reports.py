@@ -61,7 +61,11 @@ C8 (1,4) series to degree 12, the benchmark's other exact job and its case
 of non-rational leads at phi = 4, was pinned while the exact combination
 kernel still multiplied every entry by a convolution of the two tuples,
 reduced mod Phi_8 (``_cyc_mul`` in ``tests/_oracles.py``); every product
-now applies the matrix of its fixed factor.
+now applies the matrix of its fixed factor.  The modular Nichols series
+of G(3,3,3) to degree 5 and the modular compare of G(1,1,5), the
+transpositions of S_5, to degree 7 were taken while the rank-only top level
+still eliminated every group degree of a block, not one degree per
+conjugacy class.
 
 The YD digests were taken while ``yd_module`` built each braiding entry
 from a group product and the coroot action.  They pin the
@@ -165,6 +169,10 @@ HILBERT_DIGESTS = {
     "nichols hilbert --cyclic 8 --subset 1,4 --max-degree 18 --modular --budget 50000": "1cf326e5aa26d25449f0f69b89c944f021dddfee3aa00b229ab6a51abd98a211",
     "hilbert compare --group 3 1 2 --max-degree 5": "1a0c566fa3a116b366d0b7dbe621b84f22cb1db9ceefc59b5e63818dbc0b742b",
     "nichols hilbert --cyclic 7 --subset 1,3 --max-degree 16 --modular": "99a56adadd5e191d14efb040598a8c3a646aabb965de37bf0b4a5ebd06d53d23",
+    # top levels split by conjugacy class: 27 group degrees in 3 classes,
+    # and the 60 odd permutations of S_5 in 3 classes
+    "nichols hilbert --group 3 3 3 --max-degree 5 --modular": "1356c666a954b9d4850961f36aac084316d69c909267ef3c8dd500d828d30709",
+    "hilbert compare --group 1 1 5 --max-degree 7 --modular --budget 1000000": "c1a1d7025e9c0ab7aa3ed0dbfdebfd01f566d537d8bac59cffb9dae81d599fb0",
 }
 
 RELATION_DIGESTS = {

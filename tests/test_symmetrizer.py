@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 
@@ -677,27 +678,162 @@ def test_compare_raises_the_standalone_budget_errors():
 def test_rank_only_top_changes_no_series_and_no_lower_level(
     yd_cache, source, max_degree, divergence, mode
 ):
-    """``_hilbert`` and ``hilbert_compare`` build their top level rank-only
-    (point 8 of the module docstring): every series must equal that of a
+    """``_hilbert`` and ``hilbert_compare`` build their top level rank-only,
+    in the group degrees that represent their conjugacy class (points 8 and
+    9 of the module docstring): every series must equal that of a
     calculator with no top, and every level below the top must hold the
-    same basis vectors and ``_mul`` rows; the top level holds the same basis
-    vectors and no rows."""
+    same basis vectors, degrees and ``_mul`` rows; the top level holds the
+    plain top level's basis vectors of the representative degrees, and no
+    rows."""
     space = _compare_space(source, yd_cache)
+    weight = space.degree_table.weight
     series = []
     for cls in (sm.NicholsCalculator, sm.QuadraticCalculator):
         topped, plain = cls(space, mode), cls(space, mode)
         topped.top = max_degree
         for d in range(max_degree + 1):
-            topped.graded_dim(d)
-            plain.graded_dim(d)
-            assert topped._levels == plain._levels
-            assert topped._mul == (plain._mul if d < max_degree else None)
+            assert topped.multidegree_dims(d) == plain.multidegree_dims(d)
+            if d < max_degree:
+                assert topped._levels == plain._levels
+                assert topped._degrees == plain._degrees
+                assert topped._mul == plain._mul
+        degrees = iter(plain._degrees[max_degree])
+        representatives = {}
+        for block, vectors in plain._levels[max_degree].items():
+            kept = [vec for vec in vectors if weight(next(degrees))]
+            if kept:
+                representatives[block] = kept
+        assert topped._levels[max_degree] == representatives
+        assert topped._mul is None
         series.append(sm._series([plain.multidegree_dims(d) for d in range(max_degree + 1)]))
     nichols, quadratic = series
     assert sm.nichols_hilbert(space, max_degree, mode) == nichols
     assert sm.quadratic_hilbert(space, max_degree, mode) == quadratic
     cmp = sm.hilbert_compare(space, max_degree, mode)
     assert (cmp.nichols, cmp.quadratic) == (nichols, quadratic)
+
+
+def _group_elements(params):
+    """Every element theta^nu sigma of G(m,p,n), from its definition."""
+    m, p, n = params.m, params.p, params.n
+    for sigma in itertools.permutations(range(n)):
+        for nu in itertools.product(range(m), repeat=n):
+            if sum(nu) % p == 0:
+                yield rg.GroupElement(m, nu, sigma)
+
+
+@pytest.mark.parametrize("mode", ["exact", "modular"])
+@pytest.mark.parametrize(
+    "group, max_degree",
+    [
+        ((3, 3, 3), 4),
+        ((1, 1, 4), 6),
+        ((3, 1, 2), 5),
+        ((2, 1, 2), 5),
+        ((4, 2, 2), 4),
+        ((5, 5, 2), 4),
+    ],
+    ids=str,
+)
+def test_top_level_dimensions_are_class_functions(yd_cache, group, max_degree, mode):
+    """Conjugation by h in G maps the degree-g part of each block onto its
+    degree-h g h^-1 part (point 9 of the module docstring).  So in the top
+    level of a calculator with no top, the basis elements of one block and
+    degree must be as many as those of each conjugate degree, over the
+    whole group; and the class-weighted series of ``nichols_hilbert``,
+    ``quadratic_hilbert`` and ``hilbert_compare`` must equal the plain ones."""
+    space = sm.space_from_yd(yd_cache(*group))
+    elements = list(_group_elements(rg.GroupParams(*group)))
+    series = []
+    for cls, hilbert in (
+        (sm.NicholsCalculator, sm.nichols_hilbert),
+        (sm.QuadraticCalculator, sm.quadratic_hilbert),
+    ):
+        plain = cls(space, mode)
+        plain_series = sm._series([plain.multidegree_dims(d) for d in range(max_degree + 1)])
+        counts = collections.Counter()
+        degrees = iter(plain._degrees[max_degree])
+        for block, vectors in plain._levels[max_degree].items():
+            for _ in vectors:
+                counts[block, space.degree_table.elements[next(degrees)]] += 1
+        for (block, g), n in counts.items():
+            for h in elements:
+                assert counts[block, h * g * h.inverse()] == n, (cls.__name__, block, g, h)
+        assert any(h * g * h.inverse() != g for _, g in counts for h in elements)
+        assert hilbert(space, max_degree, mode) == plain_series
+        series.append(plain_series)
+    cmp = sm.hilbert_compare(space, max_degree, mode)
+    assert [cmp.nichols, cmp.quadratic] == series
+
+
+def test_braided_space_checks_its_group_degrees(yd_cache):
+    """The class split needs Psi(e_a ox e_b) = g_a . e_b ox e_a with
+    g_a . e_b of degree g_a g_b g_a^-1 in the summand of e_b: the degrees
+    of ``space_from_yd`` pass, and degrees moved to other basis vectors do
+    not.  Without degrees every vector has the one trivial degree."""
+    module = yd_cache(3, 3, 3)
+    space = sm.space_from_yd(module)
+    assert space.degrees == tuple(s.to_element(module.params) for s in module.basis)
+    args = (space.dim, space.scalar_order, space.braid_targets, space.braid_exps, space.grading)
+    with pytest.raises(ValueError, match="Yetter-Drinfeld"):
+        sm.BraidedSpace(*args, degrees=space.degrees[1:] + space.degrees[:1])
+    with pytest.raises(ValueError, match="every basis vector"):
+        sm.BraidedSpace(*args, degrees=space.degrees[1:])
+    plain = sm.BraidedSpace(*args)
+    assert len(set(plain.degrees)) == 1
+    assert plain.degree_table.times(0) == [0] * space.dim
+    assert plain.degree_table.weight(0) == 1
+
+
+def _candidate_counts(space, data: sm.HilbertData):
+    """The number of candidates y a of each block, in full, degree by degree
+    and in repr order, counted from the dimensions of the level below."""
+    for d in range(1, data.max_degree + 1):
+        sizes = collections.Counter()
+        for block, dim in data.per_multidegree.items():
+            if len(block) == d - 1:
+                for label in space.grading:
+                    sizes[tuple(sorted(block + (label,)))] += dim
+        for block in sorted(sizes, key=repr):
+            yield sizes[block]
+
+
+def _budget_error(space, data: sm.HilbertData, budget: int):
+    """The (required, budget) of the ResourceBudgetError that a series with
+    the dimensions of ``data`` raises under an effective block budget: the
+    first block with more candidates than the budget."""
+    return next(((n, budget) for n in _candidate_counts(space, data) if n > budget), None)
+
+
+@pytest.mark.parametrize("group, max_degree", [((2, 1, 2), 6), ((3, 3, 3), 4)], ids=str)
+def test_budget_errors_count_the_whole_block_on_yd_inputs(yd_cache, group, max_degree):
+    """The top level eliminates only the representative degrees of a block
+    but checks the budget on all its candidates, so each budget error of
+    the compare and of the standalone series is the one that the full
+    candidate counts give (``_budget_error``), at budgets on both sides of
+    every count; the compare raises the Nichols error first.  A modular
+    budget is doubled."""
+    space = sm.space_from_yd(yd_cache(*group))
+
+    def error(series, mode, budget):
+        try:
+            series(space, max_degree, mode, block_budget=budget)
+        except sm.ResourceBudgetError as err:
+            return err.required, err.budget
+        return None
+
+    for mode, scale in (("exact", 1), ("modular", 2)):
+        nichols = sm.nichols_hilbert(space, max_degree, mode, block_budget=None)
+        cover = sm.quadratic_hilbert(space, max_degree, mode, block_budget=None)
+        counts = {n for data in (nichols, cover) for n in _candidate_counts(space, data)}
+        budgets = {b for n in counts for b in ((n - 1) // scale, (n + scale - 1) // scale)}
+        for budget in sorted(budgets - {0}):
+            expected_nichols = _budget_error(space, nichols, scale * budget)
+            expected_cover = _budget_error(space, cover, scale * budget)
+            assert error(sm.nichols_hilbert, mode, budget) == expected_nichols, (mode, budget)
+            assert error(sm.quadratic_hilbert, mode, budget) == expected_cover, (mode, budget)
+            expected = expected_nichols or expected_cover
+            assert error(sm.hilbert_compare, mode, budget) == expected, (mode, budget)
 
 
 @pytest.mark.parametrize("mode", ["exact", "modular"])

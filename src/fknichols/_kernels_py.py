@@ -16,8 +16,8 @@ Conventions:
   ``idx`` is a strictly increasing list of ints and ``co`` a parallel list
   of coefficient tuples of length phi (the degree of the cyclotomic ring).
   ``ring`` is the ``ZetaRing`` of the conductor: it owns the power table
-  of zeta and the conjugation matrices, and every product in Z[zeta] goes
-  through it (``_cyc_mul``).
+  of zeta, the one bounded table of product matrices and the conjugation
+  matrices, and every product in Z[zeta] goes through it (``_cyc_mul``).
 * The echelon's reduce holds the vector it reduces as an accumulator, a
   dict from keys to nonzero coefficients (tuples, or residues mod p), with
   a heap of its keys; ``combine_exact`` and ``combine_mod`` subtract one
@@ -26,6 +26,7 @@ Conventions:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from heapq import heappush
 from math import gcd
 from operator import add, neg
@@ -196,11 +197,11 @@ def _times_x(c, top):
     return c
 
 
-_PRODUCT_KERNELS: dict = {}
-# most matrices of factors other than signed roots of unity a ZetaRing keeps
+# most matrices a ZetaRing keeps
 _MATRICES = 1024
 
 
+@lru_cache(maxsize=None)
 def _product_kernel(phi):
     """kernel(matrix, co): the list of the products matrix * c for the
     tuples c in co, as unrolled code for this phi, compiled on first use.
@@ -210,25 +211,22 @@ def _product_kernel(phi):
     (the power-basis tuples of roots of unity have one to a few).  A plain
     loop, not a comprehension, keeps the entries locals: a comprehension
     makes phi^2 closure cells, which compile far slower."""
-    kernel = _PRODUCT_KERNELS.get(phi)
-    if kernel is None:
-        r = range(phi)
-        lines = [
-            "def kernel(m, co):",
-            "    " + "".join(f"m{i}_{j}, " for j in r for i in r) + "= m",
-            "    out = []",
-            "    append = out.append",
-            "    for " + "".join(f"c{j}, " for j in r) + "in co:",
-            "        " + " = ".join(f"r{i}" for i in r) + " = 0",
-        ]
-        for j in r:
-            lines.append(f"        if c{j}:")
-            lines += [f"            r{i} += m{i}_{j} * c{j}" for i in r]
-        lines += ["        append((" + "".join(f"r{i}, " for i in r) + "))", "    return out\n"]
-        namespace: dict = {}
-        exec("\n".join(lines), namespace)
-        kernel = _PRODUCT_KERNELS[phi] = namespace["kernel"]
-    return kernel
+    r = range(phi)
+    lines = [
+        "def kernel(m, co):",
+        "    " + "".join(f"m{i}_{j}, " for j in r for i in r) + "= m",
+        "    out = []",
+        "    append = out.append",
+        "    for " + "".join(f"c{j}, " for j in r) + "in co:",
+        "        " + " = ".join(f"r{i}" for i in r) + " = 0",
+    ]
+    for j in r:
+        lines.append(f"        if c{j}:")
+        lines += [f"            r{i} += m{i}_{j} * c{j}" for i in r]
+    lines += ["        append((" + "".join(f"r{i}, " for i in r) + "))", "    return out\n"]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["kernel"]
 
 
 class ZetaRing:
@@ -236,18 +234,15 @@ class ZetaRing:
     the one owner of its tables.  ``powers`` holds zeta^k for k = 0 .. n-1
     and ``matrix(m)``, the matrix of c -> m c, has the columns m x^k, both
     built by the one step ``_times_x``; ``kernel`` applies a matrix to a
-    list of tuples.  The matrices of the signed roots of unity +-zeta^k,
-    the factors of almost every product, are kept once built (at most 2n,
-    and never shared with another conductor of the same phi), and the
-    conjugations of ``norm_cofactor`` on its first call.  The matrices of
-    other factors, the leads of exact reduction steps, go to a table of at
-    most ``_MATRICES`` of them, emptied when full: they are few and repeat
-    (the two exact jobs of the benchmark ask for 4,933 matrices and build
-    678).
+    list of tuples.  The matrices go to one table of at most ``_MATRICES``
+    of them, emptied when full: the factors of almost every product are
+    the signed roots of unity +-zeta^k and a few leads of exact reduction
+    steps, which repeat, and a long exact run asks for more distinct
+    factors than any table should keep.  The conjugations of
+    ``norm_cofactor`` are kept from its first call.
     """
 
-    __slots__ = ("conductor", "phi", "top", "powers", "kernel", "_roots", "_units",
-                 "_others", "_conjugations")
+    __slots__ = ("conductor", "phi", "top", "powers", "kernel", "_matrices", "_conjugations")
 
     def __init__(self, conductor, poly):
         self.conductor = conductor
@@ -258,9 +253,7 @@ class ZetaRing:
             powers.append(_times_x(powers[-1], self.top))
         self.powers = tuple(powers)
         self.kernel = self._first_product
-        self._roots = frozenset(powers) | frozenset(tuple([-x for x in z]) for z in powers)
-        self._units: dict = {}
-        self._others: dict = {}
+        self._matrices: dict = {}
         self._conjugations = None
 
     def _first_product(self, m, co):
@@ -270,20 +263,16 @@ class ZetaRing:
         return self.kernel(m, co)
 
     def matrix(self, m):
-        """The matrix of c -> m c, kept in ``_units`` when m is a signed root
-        of unity and in the bounded ``_others`` otherwise."""
-        mat = self._units.get(m) or self._others.get(m)
+        """The matrix of c -> m c, kept in the bounded ``_matrices``."""
+        mat = self._matrices.get(m)
         if mat is None:
             cols = [m]
             for _ in range(self.phi - 1):
                 cols.append(_times_x(cols[-1], self.top))
             mat = matrix_from_columns(cols)
-            if m in self._roots:
-                self._units[m] = mat
-            else:
-                if len(self._others) >= _MATRICES:
-                    self._others.clear()
-                self._others[m] = mat
+            if len(self._matrices) >= _MATRICES:
+                self._matrices.clear()
+            self._matrices[m] = mat
         return mat
 
     def norm_cofactor(self, a):

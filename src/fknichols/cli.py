@@ -343,7 +343,7 @@ def build_parser() -> _Parser:
     check = gsub.add_parser("check", parents=[common])
     check.add_argument("n", type=int)
     check.add_argument("--subset")
-    check.add_argument("--max-objects", type=int, default=100_000)
+    check.add_argument("--max-objects", type=int, default=diagonal.MAX_OBJECTS)
     check.set_defaults(handler=_cmd_groupoid_check)
     sweep = gsub.add_parser("sweep", parents=[common])
     sweep.add_argument("--max", type=int, required=True)
@@ -399,7 +399,7 @@ def build_parser() -> _Parser:
     pd.add_argument(
         "--max-roots",
         type=int,
-        default=10_000,
+        default=diagonal.MAX_ROOTS,
         help="bound on the root closure.  At rank 2, when the groupoid "
         "exists, an infinite root system is proven infinite by one loop, "
         "whatever the bound; at rank 3 'Infinite' reached by more than 2*37 "

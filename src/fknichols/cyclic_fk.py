@@ -49,8 +49,6 @@ from fknichols.diagonal import (
 
 #: Heuristic words tried before the word-family scan or the BFS fallback.
 HEURISTIC_CAP = 200
-#: Object cap of the BFS fallback (scaled down above ``_BFS_SAFE_RANK``).
-MAX_OBJECTS = 100_000
 #: Bound on the root closure of each survey class.
 SURVEY_MAX_ROOTS = 400
 #: Object cap of each survey groupoid exploration.
@@ -229,7 +227,7 @@ def check_single(n: int) -> SweepEntry:
         )
 
     rank = n - 1
-    max_objects = MAX_OBJECTS
+    max_objects = diagonal.MAX_OBJECTS
     if rank > _BFS_SAFE_RANK:
         # keep the fallback exploration memory-bounded: each object stores
         # O(rank^2) exponents, so scale the object cap down with the rank
@@ -264,7 +262,7 @@ def _checkpoint_header(verify: bool) -> dict:
         "verify": verify,
         "heuristicFirst": True,  # the heuristic words run before the BFS
         "heuristicCap": HEURISTIC_CAP,
-        "maxObjects": MAX_OBJECTS,
+        "maxObjects": diagonal.MAX_OBJECTS,
     }
 
 

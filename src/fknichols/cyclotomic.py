@@ -4,12 +4,13 @@ Scalars produced by braidings are roots of unity and stay in the compact
 (order, exponent) form as long as possible; ``CyclotomicNumber`` provides
 the ring Z[zeta_N], with integer coefficients, once linear algebra needs
 sums.  ``zeta_ring(N)`` (``_kernels_py.ZetaRing``) owns the ring's
-tables: the power table of zeta, which ``integer_zeta_power`` reads, and
-the conjugations behind ``ZetaRing.norm_cofactor``, which gives the
-echelons an inverse up to a rational integer.  Every product goes through
-the matrix of its fixed factor, applied by one kernel.  Nothing divides in
-it: every elimination runs in the ``_linalg`` echelons on integer
-coefficient tuples, and a ``ModularSpec`` maps Z[zeta_N] to a prime field.
+tables: the power table of zeta, which ``integer_zeta_power`` reads, the
+bounded table of product matrices, and the conjugations behind
+``ZetaRing.norm_cofactor``, which gives the echelons an inverse up to a
+rational integer.  Every product goes through the matrix of its fixed
+factor, applied by one kernel.  Nothing divides in it: every elimination
+runs in the ``_linalg`` echelons on integer coefficient tuples, and a
+``ModularSpec`` maps Z[zeta_N] to a prime field.
 """
 
 from __future__ import annotations

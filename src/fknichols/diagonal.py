@@ -29,6 +29,10 @@ FAILS_AT = "failsAt"
 BOUND_EXCEEDED_STATUS = "boundExceeded"
 #: Most positive roots of a finite Weyl groupoid of rank 3 (``_root_closure``)
 RANK3_MAX_POSITIVE_ROOTS = 37
+#: Default object bound of a groupoid exploration (``explore_groupoid``)
+MAX_OBJECTS = 100_000
+#: Default bound on a root closure (``positive_roots``)
+MAX_ROOTS = 10_000
 
 #: A generalized Dynkin diagram (labels, rows) mod the order: the exponents
 #: of the vertex labels q_ii, and the symmetric rows of the exponents of the
@@ -230,7 +234,7 @@ class ExplorationResult:
 
 
 def explore_groupoid(
-    braiding: DiagonalBraiding, max_objects: int = 100_000
+    braiding: DiagonalBraiding, max_objects: int = MAX_OBJECTS
 ) -> ExplorationResult:
     """BFS over generalized Dynkin diagrams under reflection, keyed by the
     diagrams themselves (``DiagonalBraiding.diagram()``).
@@ -419,7 +423,7 @@ def rank2_is_infinite(exploration: ExplorationResult) -> bool:
     return _mul2(_mul2(m4, m4), m4) != _IDENTITY2
 
 
-def positive_roots(exploration: ExplorationResult, max_roots: int = 10_000):
+def positive_roots(exploration: ExplorationResult, max_roots: int = MAX_ROOTS):
     """Positive roots at the exploration's start object, or BOUND_EXCEEDED.
 
     At rank 2, when the groupoid exists, an infinite root system is proven
@@ -452,7 +456,7 @@ def positive_roots(exploration: ExplorationResult, max_roots: int = 10_000):
     )
 
 
-def enumerate_positive_roots(braiding: DiagonalBraiding, max_roots: int = 10_000):
+def enumerate_positive_roots(braiding: DiagonalBraiding, max_roots: int = MAX_ROOTS):
     """Positive roots of the arithmetic root system, or BOUND_EXCEEDED.
 
     Raises RootSystemUndefinedError when the groupoid fails to exist.
@@ -484,7 +488,7 @@ def root_orders(braiding: DiagonalBraiding, roots) -> list[tuple[tuple[int, ...]
     return out
 
 
-def pbw_dimension(braiding: DiagonalBraiding, max_roots: int = 10_000):
+def pbw_dimension(braiding: DiagonalBraiding, max_roots: int = MAX_ROOTS):
     """Product of ord(q_alpha) over positive roots; INFINITE when the root
     system is infinite or the root closure exceeds its bounds.
 
@@ -506,7 +510,7 @@ def pbw_dimension(braiding: DiagonalBraiding, max_roots: int = 10_000):
 
 
 def pbw_hilbert_series(
-    braiding: DiagonalBraiding, max_degree: int, max_roots: int = 10_000
+    braiding: DiagonalBraiding, max_degree: int, max_roots: int = MAX_ROOTS
 ) -> list[int]:
     """Coefficients (degrees 0..max_degree) of prod over positive roots of
     (1 + t^ht + ... + t^((N_alpha - 1) ht)), ht = coordinate sum."""

@@ -186,8 +186,6 @@ from fknichols.cyclotomic import (
 from fknichols.reflection_groups import GroupElement, decompose_yd
 
 DEFAULT_BLOCK_BUDGET = 20_000
-# most products c zeta^e that ``_ExactScalars.vector`` keeps
-_TWISTS = 4096
 
 
 class ResourceBudgetError(RuntimeError):
@@ -438,7 +436,6 @@ class _ExactScalars:
         self.ring = zeta_ring(scalar_order)
         self.one = tuple([1] + [0] * (self.ring.phi - 1))
         self.zeta_rows = self.ring.powers
-        self._twisted: dict = {}
 
     def mul_zeta(self, c, e: int):
         if e == 0:
@@ -453,30 +450,20 @@ class _ExactScalars:
         ``_mul``.  D is the least common multiple of the rows' denominators,
         divided by its gcd with the content of the vector.
 
-        One pass over the terms.  c zeta^e is looked up in a table of the
-        twists met so far, emptied when it holds ``_TWISTS`` of them: the
-        coefficients of a basis are few and repeat (the exact compare of
-        G(3,3,3) to degree 4 and the series of C8 (1,4) to degree 12 meet
-        8,353 twists with 310 distinct values).  c zeta^e then multiplies
-        its whole row at once (``_scaled``), and an empty row (y a' = 0) or
-        a row whose one coefficient is 1 (every pivot row) costs no
-        product.  Sums are tested for zero once, at the end."""
+        One pass over the terms.  c zeta^e is one product by the matrix
+        of zeta^e (``mul_zeta``); it then multiplies its whole row
+        at once (``_scaled``), and an empty row (y a' = 0) or a row whose
+        one coefficient is 1 (every pivot row) costs no product.  Sums are
+        tested for zero once, at the end."""
         ring = self.ring
         one = self.one
-        twisted = self._twisted
         den = lcm(*[row[0] for *_, row in terms])
         vec = {} if key is None else {key: (den,) + one[1:]}
         get = vec.get
         for c, e, a, (rden, ridx, rco) in terms:
             if not ridx:
                 continue
-            if e:
-                m = twisted.get((c, e))
-                if m is None:
-                    if len(twisted) >= _TWISTS:
-                        twisted.clear()
-                    m = twisted[c, e] = _cyc_mul(self.zeta_rows[e], (c,), ring)[0]
-                c = m
+            c = self.mul_zeta(c, e)
             if rden != den:
                 n = den // rden
                 c = tuple([n * x for x in c])

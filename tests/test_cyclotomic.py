@@ -316,7 +316,7 @@ def _oracle_norm_cofactor(a, conductor):
 def test_products_match_the_convolution_oracle(conductor):
     # the product kernel, CyclotomicNumber products and norm_cofactor
     # against the convolution they replaced, for every signed root of unity
-    # (tabled matrices, used twice) and random factors (built matrices)
+    # and random factors, each matrix built once and then read from the table
     rand = random.Random(conductor)
     phi = euler_phi(conductor)
     red = _oracles.reduction_rows(conductor)
@@ -336,11 +336,11 @@ def test_products_match_the_convolution_oracle(conductor):
             assert cof == _oracle_norm_cofactor(a, conductor), a
             norm = _oracles._cyc_mul(a, cof, phi, red)
             assert norm[0] != 0 and not any(norm[1:]), a
-    assert len(ring._units) <= 2 * conductor
+    assert len(ring._matrices) <= _kernels_py._MATRICES
 
 
-def test_other_matrices_stay_in_a_bounded_table(monkeypatch):
-    # factors that are no signed roots of unity keep their matrices in a
+def test_matrices_stay_in_one_bounded_table(monkeypatch):
+    # every factor, signed roots of unity included, keeps its matrix in one
     # table of at most _MATRICES, emptied when full; a matrix served from
     # it, or built again after the table was emptied, gives the same products
     monkeypatch.setattr(_kernels_py, "_MATRICES", 3)
@@ -348,13 +348,12 @@ def test_other_matrices_stay_in_a_bounded_table(monkeypatch):
     ring = cyclotomic.ZetaRing(conductor, cyclotomic.cyclotomic_polynomial(conductor))
     red = _oracles.reduction_rows(conductor)
     entries = _random_elements(random.Random(0), phi, 6)
-    factors = [(k, 1, 0, -2) for k in range(2, 9)]
+    factors = _signed_roots(conductor)[::3] + [(k, 1, 0, -2) for k in range(2, 9)]
     for m in factors + factors:
         expected = [_oracles._cyc_mul(m, c, phi, red) for c in entries]
         assert _cyc_mul(m, entries, ring) == expected, m
-        assert 1 <= len(ring._others) <= 3
-        assert ring.matrix(m) is ring._others[m]
-    assert not ring._units
+        assert 1 <= len(ring._matrices) <= 3
+        assert ring.matrix(m) is ring._matrices[m]
 
 
 def _regular_representation(x):

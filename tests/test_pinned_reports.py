@@ -65,7 +65,11 @@ now applies the matrix of its fixed factor.  The modular Nichols series
 of G(3,3,3) to degree 5 and the modular compare of G(1,1,5), the
 transpositions of S_5, to degree 7 were taken while the rank-only top level
 still eliminated every group degree of a block, not one degree per
-conjugacy class.
+conjugacy class.  The exact C12 (1,5) series to degree 10, which asks for
+matrices of more distinct factors than the ring's table holds, so that the
+table is emptied during the run, was pinned while the matrices of the
+signed roots of unity were kept apart from the others, in an unbounded
+table, and the products c zeta^e of a basis had a table of their own.
 
 The YD digests were taken while ``yd_module`` built each braiding entry
 from a group product and the coroot action.  They pin the
@@ -79,7 +83,7 @@ import io
 
 import pytest
 
-from fknichols import cli, diagonal, reflection_groups, symmetrizer
+from fknichols import _kernels_py, cli, cyclotomic, diagonal, reflection_groups, symmetrizer
 
 CHECK_DIGESTS = {
     "3": "7682a4b7357d1370a88ca8ba81222e2cea9a0898342e0f05bab2ebc4f6ea130a",
@@ -173,6 +177,9 @@ HILBERT_DIGESTS = {
     # and the 60 odd permutations of S_5 in 3 classes
     "nichols hilbert --group 3 3 3 --max-degree 5 --modular": "1356c666a954b9d4850961f36aac084316d69c909267ef3c8dd500d828d30709",
     "hilbert compare --group 1 1 5 --max-degree 7 --modular --budget 1000000": "c1a1d7025e9c0ab7aa3ed0dbfdebfd01f566d537d8bac59cffb9dae81d599fb0",
+    # an exact run that empties the ring's matrix table: 8,014 distinct
+    # factors at phi = 4
+    "nichols hilbert --cyclic 12 --subset 1,5 --max-degree 10": "0a2e011fec1af5ab339eb7bc99dcbfeed35ad8b448ff2a77a3cb796b8486c05c",
 }
 
 RELATION_DIGESTS = {
@@ -258,6 +265,25 @@ def test_groupoid_sweep_report_is_pinned(args):
 @pytest.mark.parametrize("args", sorted(HILBERT_DIGESTS))
 def test_hilbert_report_is_pinned(args):
     assert _digest(args.split()) == HILBERT_DIGESTS[args]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "hilbert compare --group 3 3 3 --max-degree 4",
+        "nichols hilbert --cyclic 8 --subset 1,4 --max-degree 12",
+    ],
+)
+def test_emptying_the_matrix_table_changes_no_report(args, monkeypatch):
+    # a table of two matrices is emptied again and again in the middle of
+    # every elimination, the matrices of the roots of unity included; the
+    # rings built under the small bound are dropped before and after
+    monkeypatch.setattr(_kernels_py, "_MATRICES", 2)
+    cyclotomic.zeta_ring.cache_clear()
+    try:
+        assert _digest(args.split()) == HILBERT_DIGESTS[args]
+    finally:
+        cyclotomic.zeta_ring.cache_clear()
 
 
 def _relation_items(name):
